@@ -44,7 +44,6 @@ from .encode import (
     cell_value_bound,
     encode_fiber,
     parse_dimacs,
-    parse_solution_line,
     write_layout,
 )
 from .dpll import Solver
@@ -55,6 +54,7 @@ from .moves import (
     MoveSet,
     basic_moves_n3f,
     basic_moves_two_way,
+    build_moves,
     chordality_violations,
     cycle_moves,
     is_doubly_chordal,
@@ -67,7 +67,6 @@ from .sampling import (
     ExternalSampler,
     InternalBiasedSampler,
     InternalUniformSampler,
-    SampleBatch,
     SamplerConfig,
     SamplerError,
     SamplerExitError,
@@ -78,15 +77,10 @@ from .sampling import (
     build_sampler,
     enumerate_cnf_tables,
     make_rng,
-    sample_external,
-    sample_internal_biased,
-    sample_internal_uniform,
-    tv_distance_to_uniform,
 )
 from .mle import (
     ChiSquare,
     FitResult,
-    chi_square_statistic,
     fit_loglinear,
     independence_fitted,
     log_likelihood,
@@ -101,6 +95,7 @@ from .walk import (
     acceptance_ratio,
     connected_components_under_moves,
     empirical_tv,
+    make_schedule,
     rho_distribution,
     run_walk,
 )

@@ -23,22 +23,13 @@ import numpy as np
 from .enumeration import enumerate_fiber, exact_p_from_enumeration
 from .mle import ChiSquare, fit_loglinear
 from .models import (
-    ConstraintMatrix,
     FiberSpec,
     Table,
     build_independence_matrix,
     build_n3f_matrix,
     margins,
 )
-from .moves import (
-    DegenerateZeroPattern,
-    MoveSet,
-    basic_moves_n3f,
-    basic_moves_two_way,
-    cycle_moves,
-    load_basis,
-    repair_zero_pattern,
-)
+from .moves import MOVE_SOURCES, DegenerateZeroPattern, build_moves, repair_zero_pattern
 from .sampling import SamplerConfig, build_sampler, make_rng
 from .walk import (
     Alternating,
@@ -46,6 +37,7 @@ from .walk import (
     ParallelStarts,
     SatOnly,
     Schedule,
+    make_schedule,
     run_walk,
 )
 
@@ -67,7 +59,6 @@ __all__ = [
 DEFAULT_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 MODELS = ("independence", "quasi", "n3f")
-MOVE_SOURCES = ("basic", "cycle", "file")
 
 
 def round_largest_remainder(weights: Sequence[float], total: int) -> list[int]:
@@ -286,16 +277,6 @@ def convergence_step(
     return int(bad[-1]) + 2
 
 
-def _build_moves(config: ExperimentConfig, zeros: Sequence[int], matrix: ConstraintMatrix) -> MoveSet:
-    if config.move_source == "file":
-        return load_basis(config.move_path, matrix)
-    if config.model == "n3f":
-        return basic_moves_n3f(config.shape[0])
-    if config.move_source == "cycle":
-        return cycle_moves(config.shape, zeros)
-    return basic_moves_two_way(config.shape, zeros)
-
-
 def _one_run(
     config: ExperimentConfig, run_id: int, lam: float | None, gen_seed: int, walk_seed: int
 ) -> BenchRun:
@@ -326,7 +307,7 @@ def _one_run(
         exact_p_from_enumeration(enum, threshold, stat) if enum.complete else None
     )
 
-    moves = _build_moves(config, zeros, matrix)
+    moves = build_moves(config.move_source, spec, config.move_path)
     sampler = build_sampler(config.sampler)
     rec = run_walk(
         spec, initial, config.schedule, moves, sampler, config.steps, stat, walk_seed
@@ -541,16 +522,7 @@ def parse_config(path) -> ExperimentConfig:
         sched_kind = s.get("kind", sched_kind).strip().lower()
         period = s.getint("period", fallback=1)
         walks = s.getint("walks", fallback=1)
-    if sched_kind == "moves-only":
-        schedule: Schedule = MovesOnly()
-    elif sched_kind == "sat-only":
-        schedule = SatOnly()
-    elif sched_kind == "alternating":
-        schedule = Alternating(period)
-    elif sched_kind == "parallel-starts":
-        schedule = ParallelStarts(period, walks)
-    else:
-        raise ValueError(f"unknown schedule kind {sched_kind!r}")
+    schedule = make_schedule(sched_kind, period, walks)
 
     sampler = SamplerConfig()
     if parser.has_section("sampler"):

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .bench import export_results, parse_config, run_evaluation
-from .dpll import Solver
+from .dpll import projected_models
 from .encode import encode_fiber, parse_dimacs, write_layout
 from .enumeration import enumerate_fiber, exact_p_from_enumeration
 from .mle import ChiSquare, fit_loglinear
@@ -36,16 +38,9 @@ from .models import (
     unflatten_index,
     write_table,
 )
-from .moves import basic_moves_n3f, basic_moves_two_way, cycle_moves, load_basis
-from .sampling import (
-    SamplerConfig,
-    build_sampler,
-    sample_external,
-    sample_internal_biased,
-    sample_internal_uniform,
-    tv_distance_to_uniform,
-)
-from .walk import Alternating, MovesOnly, ParallelStarts, SatOnly, run_walk
+from .moves import MOVE_SOURCES, build_moves
+from .sampling import SamplerConfig, build_sampler
+from .walk import SCHEDULE_KINDS, empirical_tv, make_schedule, run_walk
 
 __all__ = ["main", "build_parser"]
 
@@ -90,16 +85,12 @@ def _add_spec_args(p: argparse.ArgumentParser, with_table: bool = True) -> None:
 
 def _add_walk_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("walk")
-    g.add_argument(
-        "--schedule",
-        choices=["moves-only", "sat-only", "alternating", "parallel-starts"],
-        default="moves-only",
-    )
+    g.add_argument("--schedule", choices=SCHEDULE_KINDS, default="moves-only")
     g.add_argument(
         "--period", type=int, default=10, help="n for alternating/parallel-starts"
     )
     g.add_argument("--walks", type=int, default=1, help="k for parallel-starts")
-    g.add_argument("--moves", choices=["basic", "cycle", "file"], default="basic")
+    g.add_argument("--moves", choices=MOVE_SOURCES, default="basic")
     g.add_argument("--moves-file", help="move basis file (with --moves file)")
 
 
@@ -178,18 +169,6 @@ def _build_spec(args) -> tuple[FiberSpec, Table | None]:
     )
 
 
-def _build_moves(args, spec: FiberSpec):
-    if args.moves == "file":
-        if not args.moves_file:
-            raise ValueError("--moves file needs --moves-file PATH")
-        return load_basis(args.moves_file, spec.matrix)
-    if len(spec.shape) == 3:
-        return basic_moves_n3f(spec.shape[0])
-    if args.moves == "cycle":
-        return cycle_moves(spec.shape, spec.zero_set())
-    return basic_moves_two_way(spec.shape, spec.zero_set())
-
-
 def _build_sampler_config(args) -> SamplerConfig:
     if args.sampler == "external":
         if not args.sampler_command:
@@ -202,16 +181,6 @@ def _build_sampler_config(args) -> SamplerConfig:
     if args.sampler == "internal-biased":
         return SamplerConfig(kind="internal-biased", bias_strength=args.bias_strength)
     return SamplerConfig()
-
-
-def _build_schedule(args):
-    if args.schedule == "moves-only":
-        return MovesOnly()
-    if args.schedule == "sat-only":
-        return SatOnly()
-    if args.schedule == "alternating":
-        return Alternating(args.period)
-    return ParallelStarts(args.period, args.walks)
 
 
 def cmd_encode(args) -> int:
@@ -233,38 +202,23 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _count_cnf_models(path: str, cap: int) -> tuple[int, bool]:
-    with open(path) as f:
-        num_vars, clauses, sampling = parse_dimacs(f)
-    if not sampling:
-        sampling = tuple(range(1, num_vars + 1))
-    sampling_set = set(sampling)
-    solver = Solver(num_vars, [list(c) for c in clauses], decision_vars=sampling)
-    count = 0
-    while True:
-        model = solver.next_model()
-        if model is None:
-            return count, False
-        count += 1
-        if count > cap:
-            return cap, True
-        solver.add_clause([-lit for lit in model if abs(lit) in sampling_set])
-
-
 def cmd_enumerate(args) -> int:
     if args.cnf:
-        count, incomplete = _count_cnf_models(args.cnf, args.cap)
-        marker = " (incomplete: cap reached)" if incomplete else ""
-        print(f"count: {count}{marker}")
-        return 0
-    spec, _ = _build_spec(args)
-    enum = enumerate_fiber(spec, cap=args.cap)
-    if not args.count_only:
-        for u in enum:
-            write_table(u, sys.stdout)
-            print()
-    marker = "" if enum.complete else " (incomplete: cap reached)"
-    print(f"count: {len(enum)}{marker}")
+        with open(args.cnf) as f:
+            num_vars, clauses, sampling = parse_dimacs(f)
+        models = projected_models(num_vars, clauses, sampling or range(1, num_vars + 1))
+        found = sum(1 for _ in itertools.islice(models, args.cap + 1))
+        count, complete = min(found, args.cap), found <= args.cap
+    else:
+        spec, _ = _build_spec(args)
+        enum = enumerate_fiber(spec, cap=args.cap)
+        if not args.count_only:
+            for u in enum:
+                write_table(u, sys.stdout)
+                print()
+        count, complete = len(enum), enum.complete
+    marker = "" if complete else " (incomplete: cap reached)"
+    print(f"count: {count}{marker}")
     return 0
 
 
@@ -287,11 +241,12 @@ def cmd_test(args) -> int:
     enum = enumerate_fiber(spec, cap=args.exact_cap)
     exact = exact_p_from_enumeration(enum, threshold, stat) if enum.complete else None
 
-    moves = _build_moves(args, spec)
+    if args.moves == "file" and not args.moves_file:
+        raise ValueError("--moves file needs --moves-file PATH")
+    moves = build_moves(args.moves, spec, args.moves_file)
     sampler = build_sampler(_build_sampler_config(args))
-    rec = run_walk(
-        spec, u, _build_schedule(args), moves, sampler, args.steps, stat, args.seed
-    )
+    schedule = make_schedule(args.schedule, args.period, args.walks)
+    rec = run_walk(spec, u, schedule, moves, sampler, args.steps, stat, args.seed)
     print(f"statistic: {threshold!r}")
     print(f"steps: {rec.steps} (sat {rec.sat_steps}, move {rec.move_steps})")
     if rec.aborted:
@@ -324,19 +279,13 @@ def cmd_bench(args) -> int:
 def cmd_diagnose(args) -> int:
     spec, _ = _build_spec(args)
     config = _build_sampler_config(args)
-    if config.kind == "external":
-        batch = sample_external(encode_fiber(spec), config, args.draws, args.seed)
-    elif config.kind == "internal-biased":
-        batch = sample_internal_biased(
-            spec, args.draws, args.seed, bias_strength=config.bias_strength
-        )
-    else:
-        batch = sample_internal_uniform(spec, args.draws, args.seed)
-    tv = tv_distance_to_uniform(batch, spec)
-    size = len(enumerate_fiber(spec).elements)
-    print(f"source: {batch.source}")
-    print(f"fiber size: {size}")
-    print(f"draws: {len(batch)}")
+    draws = build_sampler(config).sample(encode_fiber(spec), args.draws, args.seed)
+    fiber = enumerate_fiber(spec, cap=1_000_000).require_complete()
+    uniform = {v.cells: 1.0 / len(fiber) for v in fiber}
+    tv = empirical_tv(Counter(u.cells for u in draws), uniform)
+    print(f"source: {config.summary()}")
+    print(f"fiber size: {len(fiber)}")
+    print(f"draws: {len(draws)}")
     print(f"tv distance to uniform: {tv!r}")
     print(f"l1 deviation (2*tv): {2 * tv!r}")
     return 0

@@ -17,9 +17,9 @@ always examined before it could be silently falsified).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-__all__ = ["Solver"]
+__all__ = ["Solver", "projected_models"]
 
 
 class Solver:
@@ -209,3 +209,16 @@ class Solver:
         self.clauses.append(cl)
         self.watches.setdefault(cl[0], []).append(idx)
         self.watches.setdefault(cl[1], []).append(idx)
+
+
+def projected_models(
+    num_vars: int, clauses: Iterable[Sequence[int]], sampling: Sequence[int]
+) -> Iterator[list[int]]:
+    """Every model of the CNF projected onto the ``sampling`` variables,
+    one per distinct projection: each projection is blocked before the
+    search resumes.  Branching follows the sampling order."""
+    solver = Solver(num_vars, clauses, decision_vars=sampling)
+    while (model := solver.next_model()) is not None:
+        projected = [model[v - 1] for v in sampling]
+        yield projected
+        solver.add_clause([-lit for lit in projected])

@@ -20,7 +20,7 @@ always-true literal, then the Tseitin auxiliaries.  The sampling set
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .models import FiberSpec, Table
 
@@ -30,7 +30,6 @@ __all__ = [
     "cell_value_bound",
     "bit_width",
     "write_layout",
-    "parse_solution_line",
     "parse_dimacs",
 ]
 
@@ -184,7 +183,7 @@ class _Builder:
 @dataclass(frozen=True)
 class CNFEncoding:
     """A fiber rendered as CNF, plus the cell-variable bookkeeping
-    needed to decode models and emit blocking clauses."""
+    needed to decode models and encode tables."""
 
     spec: FiberSpec
     bits_per_cell: int
@@ -231,10 +230,6 @@ class CNFEncoding:
                 var = j * l + p + 1
                 lits.append(var if (c >> p) & 1 else -var)
         return tuple(lits)
-
-    def blocking_clause(self, u: Table) -> tuple[int, ...]:
-        """Clause excluding exactly this table from future models."""
-        return tuple(-lit for lit in self.encode_table(u))
 
     def to_dimacs(self, sink: TextIO) -> None:
         l = self.bits_per_cell
@@ -302,33 +297,6 @@ def write_layout(encoding: CNFEncoding, sink: TextIO) -> None:
         ids = " ".join(str(j * l + p + 1) for p in range(l))
         mark = " zero" if j in zeros else ""
         sink.write(f"{j} {ids}{mark}\n")
-
-
-def parse_solution_line(text: str) -> dict[int, bool]:
-    """Assignment from solver/sampler solution text.
-
-    Accepts ``v``-prefixed and bare literal lines, ending at the
-    0 terminator; ``c``/``s`` lines are skipped.  Raises ValueError on
-    junk tokens or a missing terminator.
-    """
-    assignment: dict[int, bool] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line[0] in "csCS" and (len(line) == 1 or line[1].isspace()):
-            continue
-        if line[0] in "vV" and (len(line) == 1 or line[1].isspace()):
-            line = line[1:]
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise ValueError(f"malformed solution text: token {tok!r}") from None
-            if lit == 0:
-                return assignment
-            assignment[abs(lit)] = lit > 0
-    raise ValueError("malformed solution text: missing 0 terminator")
 
 
 def parse_dimacs(source: TextIO):

@@ -32,7 +32,6 @@ __all__ = [
     "fit_loglinear",
     "independence_fitted",
     "ChiSquare",
-    "chi_square_statistic",
 ]
 
 PATIENCE = 20
@@ -250,27 +249,3 @@ class ChiSquare:
             diff = cells[idx] / n - p
             total += diff * diff * ip
         return total
-
-
-def chi_square_statistic(
-    u: Table, pi: Sequence[float], n: int, zeros: Sequence[int] = ()
-) -> float:
-    """X(u) = sum over free cells of (u_i/n - pi_i)^2 / pi_i.
-
-    Structural-zero cells are excluded from the sum.  A zero fitted
-    probability at a free cell is an error if the cell count is
-    positive (the term would be infinite), and contributes 0 otherwise.
-    """
-    zero_set = set(zeros)
-    total = 0.0
-    for i, c in enumerate(u.cells):
-        if i in zero_set:
-            continue
-        p = float(pi[i])
-        if p <= 0:
-            if c > 0:
-                raise ValueError(f"fitted probability 0 at cell {i} with count {c}")
-            continue
-        diff = c / n - p
-        total += diff * diff / p
-    return total

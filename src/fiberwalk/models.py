@@ -28,6 +28,8 @@ __all__ = [
     "build_independence_matrix",
     "build_n3f_matrix",
     "margins",
+    "model_matrix",
+    "model_structural_zeros",
     "fiber_spec_from_observation",
     "flatten_index",
     "unflatten_index",

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import networkx as nx
 import numpy as np
 
-from .models import ConstraintMatrix, unflatten_index
+from .models import ConstraintMatrix, FiberSpec
 
 __all__ = [
     "Move",
@@ -32,6 +32,8 @@ __all__ = [
     "load_basis",
     "save_basis",
     "BasisFileError",
+    "MOVE_SOURCES",
+    "build_moves",
     "chordality_violations",
     "is_doubly_chordal",
     "repair_zero_pattern",
@@ -261,6 +263,27 @@ def load_basis(path, matrix: ConstraintMatrix) -> MoveSet:
                 )
             )
     return MoveSet(moves=tuple(moves), d=matrix.cols)
+
+
+MOVE_SOURCES = ("basic", "cycle", "file")
+
+
+def build_moves(source: str, spec: FiberSpec, path=None) -> MoveSet:
+    """The move set a walk on ``spec`` uses, by source: ``file`` loads
+    and validates the basis at ``path``; ``basic`` gives the 2x2x2
+    moves on a 3-way table and the rectangles on a two-way one;
+    ``cycle`` gives the cycle moves of a two-way table."""
+    if source == "file":
+        return load_basis(path, spec.matrix)
+    if source not in MOVE_SOURCES:
+        raise ValueError(f"unknown move source {source!r}; expected one of {MOVE_SOURCES}")
+    if len(spec.shape) == 3:
+        if source == "cycle":
+            raise ValueError("cycle moves apply to two-way tables only")
+        return basic_moves_n3f(spec.shape[0])
+    if source == "cycle":
+        return cycle_moves(spec.shape, spec.zero_set())
+    return basic_moves_two_way(spec.shape, spec.zero_set())
 
 
 def chordality_violations(shape: Sequence[int], zeros: Iterable[int] = ()) -> list[list]:

@@ -25,11 +25,11 @@ import shlex
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
-from .dpll import Solver
+from .dpll import projected_models
 from .encode import CNFEncoding
 from .enumeration import FiberTooLarge, enumerate_fiber
 from .models import FiberSpec, Table
@@ -38,7 +38,6 @@ __all__ = [
     "make_rng",
     "FiberSampler",
     "SamplerConfig",
-    "SampleBatch",
     "build_sampler",
     "ExternalSampler",
     "InternalUniformSampler",
@@ -49,13 +48,7 @@ __all__ = [
     "SamplerTimeoutError",
     "SamplerOutputError",
     "SamplerValidityError",
-    "sample_external",
-    "sample_internal_uniform",
-    "sample_internal_biased",
-    "tv_distance_to_uniform",
     "enumerate_cnf_tables",
-    "tv_distance_uniform",
-    "l1_deviation",
     "SEED_ENV_VAR",
 ]
 
@@ -136,21 +129,6 @@ class SamplerConfig:
         if self.kind == "internal-biased":
             return f"internal-biased(strength={self.bias_strength})"
         return "internal-uniform"
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """A batch of validated fiber elements plus where they came from."""
-
-    tables: tuple[Table, ...]
-    source: str
-    seed: int
-
-    def __len__(self) -> int:
-        return len(self.tables)
-
-    def __iter__(self):
-        return iter(self.tables)
 
 
 def build_sampler(config: SamplerConfig, cap: int = 1_000_000) -> "FiberSampler":
@@ -330,111 +308,16 @@ class InternalBiasedSampler:
         return [elements[int(i)] for i in idx]
 
 
-def sample_external(
-    encoding: CNFEncoding,
-    config: SamplerConfig,
-    count: int,
-    seed: int,
-    cnf_path: str | None = None,
-) -> SampleBatch:
-    """Batch from an external command-line sampler.
-
-    When ``cnf_path`` is given the command runs against that file
-    (which must encode the same fiber); otherwise the encoding is
-    written to a temporary file first.
-    """
-    if config.kind != "external":
-        raise ValueError(f"config kind is {config.kind!r}, not 'external'")
-    sampler = ExternalSampler(config.command_template, timeout=config.timeout)
-    if cnf_path is None:
-        tables = sampler.sample(encoding, count, seed)
-    else:
-        tables = sampler.sample_file(encoding, cnf_path, count, seed)
-    return SampleBatch(tuple(tables), config.summary(), seed)
-
-
-def sample_internal_uniform(
-    spec: FiberSpec, count: int, seed: int, cap: int = 1_000_000
-) -> SampleBatch:
-    """Exactly uniform batch via enumerate-then-draw."""
-    elements = enumerate_fiber(spec, cap=cap).require_complete().elements
-    if not elements:
-        raise SamplerOutputError("fiber is empty")
-    rng = make_rng(seed)
-    idx = rng.integers(len(elements), size=count)
-    return SampleBatch(tuple(elements[int(i)] for i in idx), "internal-uniform", seed)
-
-
-def sample_internal_biased(
-    spec: FiberSpec,
-    count: int,
-    seed: int,
-    bias_strength: float = 1.0,
-    cap: int = 1_000_000,
-) -> SampleBatch:
-    """Batch from the exponentially tilted distribution
-    w(u) proportional to exp(bias_strength * u_first)."""
-    sampler = InternalBiasedSampler(strength=bias_strength, cap=cap)
-    elements, probs = sampler._dist(spec)
-    if not len(elements):
-        raise SamplerOutputError("fiber is empty")
-    rng = make_rng(seed)
-    idx = rng.choice(len(elements), size=count, p=probs)
-    return SampleBatch(
-        tuple(elements[int(i)] for i in idx),
-        f"internal-biased(strength={bias_strength})",
-        seed,
-    )
-
-
-def tv_distance_to_uniform(
-    batch: SampleBatch, spec: FiberSpec, cap: int = 1_000_000
-) -> float:
-    """TV distance between the batch's empirical distribution and the
-    uniform distribution on the (fully enumerated) fiber."""
-    enum = enumerate_fiber(spec, cap=cap).require_complete()
-    return tv_distance_uniform(batch.tables, enum.elements)
-
-
 def enumerate_cnf_tables(encoding: CNFEncoding, cap: int = 10_000_000) -> list[Table]:
     """All fiber elements by CNF model enumeration with blocking
     clauses: the solver-side route, matched against direct enumeration
-    in the bijection checks."""
-    solver = Solver(
-        encoding.num_vars, encoding.clauses, decision_vars=encoding.sampling_vars
-    )
+    in the bijection checks.  Raises :class:`FiberTooLarge` past the
+    cap."""
     tables: list[Table] = []
-    while True:
-        model = solver.next_model()
-        if model is None:
-            return tables
-        table = encoding.decode(model)
-        tables.append(table)
-        if len(tables) > cap:
+    for model in projected_models(
+        encoding.num_vars, encoding.clauses, encoding.sampling_vars
+    ):
+        if len(tables) >= cap:
             raise FiberTooLarge(f"model count exceeds cap of {cap}")
-        solver.add_clause(encoding.blocking_clause(table))
-
-
-def tv_distance_uniform(samples: Sequence[Table], fiber: Sequence[Table]) -> float:
-    """Total variation distance between the empirical distribution of
-    the samples and the uniform distribution on the fiber."""
-    if not samples or not fiber:
-        raise ValueError("need at least one sample and a nonempty fiber")
-    counts: dict[tuple[int, ...], int] = {}
-    for u in samples:
-        counts[u.cells] = counts.get(u.cells, 0) + 1
-    size = len(fiber)
-    n = len(samples)
-    total = 0.0
-    for v in fiber:
-        total += abs(counts.get(v.cells, 0) / n - 1.0 / size)
-    return 0.5 * total
-
-
-def l1_deviation(samples: Sequence[Table], fiber: Sequence[Table]) -> float:
-    """Unnormalized L1 deviation of the empirical distribution from
-    uniform: sum over fiber elements of |p_hat - 1/|F||.  Ranges over
-    [0, 2]; exactly twice the total variation distance."""
-    if not samples or not fiber:
-        raise ValueError("need at least one sample and a nonempty fiber")
-    return 2.0 * tv_distance_uniform(samples, fiber)
+        tables.append(encoding.decode(model))
+    return tables

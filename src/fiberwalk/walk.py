@@ -29,7 +29,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .encode import CNFEncoding, encode_fiber
-from .enumeration import enumerate_fiber
+from .enumeration import enumerate_fiber, log_rho_unnormalized
 from .models import FiberSpec, Table
 from .moves import MoveSet
 from .sampling import FiberSampler, SamplerError, make_rng
@@ -40,10 +40,9 @@ __all__ = [
     "Alternating",
     "ParallelStarts",
     "Schedule",
+    "SCHEDULE_KINDS",
+    "make_schedule",
     "acceptance_ratio",
-    "WalkState",
-    "mh_step_move",
-    "mh_step_sat",
     "RunRecord",
     "run_walk",
     "connected_components_under_moves",
@@ -85,10 +84,21 @@ class ParallelStarts:
 
 Schedule = Union[MovesOnly, SatOnly, Alternating, ParallelStarts]
 
+SCHEDULE_KINDS = ("moves-only", "sat-only", "alternating", "parallel-starts")
 
-def _log_weight(cells: Sequence[int]) -> float:
-    """log of the unnormalized target: -sum log(c!)."""
-    return -sum(math.lgamma(c + 1) for c in cells)
+
+def make_schedule(kind: str, period: int, walks: int) -> Schedule:
+    """The schedule named ``kind``; ``period`` is n for alternating and
+    parallel-starts, ``walks`` is k for parallel-starts."""
+    if kind == "moves-only":
+        return MovesOnly()
+    if kind == "sat-only":
+        return SatOnly()
+    if kind == "alternating":
+        return Alternating(period)
+    if kind == "parallel-starts":
+        return ParallelStarts(period, walks)
+    raise ValueError(f"unknown schedule kind {kind!r}")
 
 
 def acceptance_ratio(u: Sequence[int] | Table, v: Sequence[int] | Table) -> float:
@@ -103,105 +113,6 @@ def acceptance_ratio(u: Sequence[int] | Table, v: Sequence[int] | Table) -> floa
         if a != b:
             s += math.lgamma(a + 1) - math.lgamma(b + 1)
     return math.exp(s) if s < 0 else 1.0
-
-
-class WalkState:
-    """One Metropolis-Hastings walk: current table, step and hit
-    counters, and the running p-value sequence.
-
-    ``stat`` is called on flat cell tuples; ``threshold`` is the
-    observed statistic; the indicator of step i is
-    stat(u_i) >= threshold.
-    """
-
-    __slots__ = (
-        "spec",
-        "current",
-        "step",
-        "hits",
-        "p_sequence",
-        "rng",
-        "stat",
-        "threshold",
-        "_hit_cache",
-    )
-
-    def __init__(
-        self,
-        spec: FiberSpec,
-        start: Table,
-        stat: Callable[[tuple[int, ...]], float],
-        threshold: float,
-        rng: np.random.Generator,
-    ):
-        if not spec.contains(start):
-            raise ValueError("starting table is not in the fiber")
-        self.spec = spec
-        self.current = start
-        self.step = 0
-        self.hits = 0
-        self.p_sequence: list[float] = []
-        self.rng = rng
-        self.stat = stat
-        self.threshold = threshold
-        self._hit_cache: dict[tuple[int, ...], int] = {}
-
-    def _record(self) -> None:
-        cells = self.current.cells
-        hit = self._hit_cache.get(cells)
-        if hit is None:
-            hit = 1 if self.stat(cells) >= self.threshold else 0
-            self._hit_cache[cells] = hit
-        self.hits += hit
-        self.step += 1
-        self.p_sequence.append(self.hits / self.step)
-
-
-def mh_step_move(state: WalkState, moves: MoveSet, spec: FiberSpec) -> WalkState:
-    """One Markov-move step: uniform move, uniform sign, accept with
-    the factorial ratio; proposals leaving nonnegativity are a
-    self-loop but still count as a step."""
-    if not len(moves):
-        raise ValueError("empty move set")
-    rng = state.rng
-    mv = moves[int(rng.integers(len(moves)))]
-    sign = 1 if int(rng.integers(2)) == 0 else -1
-    cur = state.current.cells
-    new_vals = []
-    valid = True
-    for j, dl in zip(mv.support, mv.deltas):
-        nv = cur[j] + sign * dl
-        if nv < 0:
-            valid = False
-            break
-        new_vals.append(nv)
-    if valid:
-        s = 0.0
-        for j, nv in zip(mv.support, new_vals):
-            s += math.lgamma(cur[j] + 1) - math.lgamma(nv + 1)
-        unif = float(rng.random())
-        if s >= 0 or unif < math.exp(s):
-            cells = list(cur)
-            for j, nv in zip(mv.support, new_vals):
-                cells[j] = nv
-            state.current = Table(cells=tuple(cells), shape=state.current.shape)
-    state._record()
-    return state
-
-
-def mh_step_sat(state: WalkState, proposal: Table) -> WalkState:
-    """One SAT step: independence proposal with assumed-uniform law, so
-    acceptance is the bare factorial ratio.  The proposal is re-checked
-    against the fiber; an invalid one is an error, never a silent
-    accept."""
-    if not state.spec.contains(proposal):
-        raise ValueError("SAT proposal is not a fiber element")
-    r = acceptance_ratio(state.current.cells, proposal.cells)
-    unif = float(state.rng.random())
-    if unif < r:
-        state.current = proposal
-    state._record()
-    return state
 
 
 @dataclass
@@ -347,7 +258,7 @@ class _Walk:
     def __init__(self, start: Table, rng: np.random.Generator):
         self.cur = list(start.cells)
         self.cur_t = start.cells
-        self.logw = _log_weight(start.cells)
+        self.logw = log_rho_unnormalized(start.cells)
         self.rng = rng
         self.midx = None
         self.msign = None
@@ -399,7 +310,7 @@ class _Walk:
         p_cells = proposal.cells
         lw = logw_cache.get(p_cells)
         if lw is None:
-            lw = _log_weight(p_cells)
+            lw = log_rho_unnormalized(p_cells)
             logw_cache[p_cells] = lw
         s = lw - self.logw  # log rho(v) - log rho(u)
         accepted = False
@@ -596,7 +507,7 @@ def rho_distribution(fiber: Sequence[Table]) -> dict[tuple[int, ...], float]:
     fiber, via log-sum-exp."""
     if not fiber:
         raise ValueError("empty fiber")
-    logw = [_log_weight(u.cells) for u in fiber]
+    logw = [log_rho_unnormalized(u.cells) for u in fiber]
     m = max(logw)
     ws = [math.exp(lw - m) for lw in logw]
     z = sum(ws)

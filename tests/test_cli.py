@@ -211,3 +211,101 @@ def test_diagnose_biased_sampler_is_far_from_uniform(capsys):
     tv = float(next(l for l in out.splitlines() if l.startswith("tv")).split(":")[1])
     print(f"biased sampler TV: {tv:.3f}")
     assert tv > 0.2
+
+
+README_TABLE = "3 3\n2 1 0 1 1 1 0 1 2\n"
+
+
+@pytest.fixture
+def readme_table(tmp_path):
+    path = tmp_path / "obs.tbl"
+    path.write_text(README_TABLE)
+    return str(path)
+
+
+def test_readme_test_example_output(readme_table, capsys):
+    code = run_cli(
+        "test", "--table", readme_table, "--model", "independence",
+        "--steps", "20000", "--schedule", "alternating", "--period", "10",
+        "--seed", "7",
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "statistic: 0.4444444444444444\n"
+        "steps: 20000 (sat 2000, move 18000)\n"
+        "mcmc p: 0.8872\n"
+        "exact p: 0.8714285714285716\n"
+        "difference: 0.015771428571428436\n"
+    )
+
+
+def test_diagnose_internal_uniform_output(readme_table, capsys):
+    code = run_cli(
+        "diagnose", "--table", readme_table, "--model", "independence",
+        "--draws", "5000", "--seed", "3",
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "source: internal-uniform\n"
+        "fiber size: 55\n"
+        "draws: 5000\n"
+        "tv distance to uniform: 0.034709090909090905\n"
+        "l1 deviation (2*tv): 0.06941818181818181\n"
+    )
+
+
+def test_diagnose_internal_biased_output(readme_table, capsys):
+    code = run_cli(
+        "diagnose", "--table", readme_table, "--model", "independence",
+        "--draws", "5000", "--seed", "3",
+        "--sampler", "internal-biased", "--bias-strength", "1.5",
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "source: internal-biased(strength=1.5)\n"
+        "fiber size: 55\n"
+        "draws: 5000\n"
+        "tv distance to uniform: 0.5582909090909091\n"
+        "l1 deviation (2*tv): 1.1165818181818181\n"
+    )
+
+
+def test_enumerate_cnf_stops_at_cap(tmp_path, table_file, capsys):
+    out = tmp_path / "fiber"
+    run_cli("encode", "--table", table_file, "--out", str(out))
+    capsys.readouterr()
+    assert run_cli("enumerate", "--cnf", str(tmp_path / "fiber.cnf"), "--cap", "2") == 0
+    assert capsys.readouterr().out == "count: 2 (incomplete: cap reached)\n"
+
+
+def test_cycle_moves_on_three_way_table_is_an_error(tmp_path, capsys):
+    path = tmp_path / "cube.tbl"
+    path.write_text("2 2 2\n1 0 0 1 0 1 1 0\n")
+    code = run_cli(
+        "test", "--table", str(path), "--model", "n3f", "--moves", "cycle",
+        "--steps", "50",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "cycle moves apply to two-way tables only" in captured.err
+    assert "mcmc p:" not in captured.out
+
+
+def test_diagnose_enumerates_once_besides_the_sampler(
+    readme_table, monkeypatch, capsys
+):
+    """One enumeration for the report, one inside the internal sampler."""
+    import fiberwalk.enumeration as enumeration
+
+    calls = []
+    original = enumeration._iter_fiber
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(enumeration, "_iter_fiber", counting)
+    code = run_cli("diagnose", "--table", readme_table, "--draws", "100")
+    assert code == 0
+    assert "fiber size: 55" in capsys.readouterr().out
+    assert len(calls) == 2

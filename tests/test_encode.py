@@ -19,7 +19,6 @@ from fiberwalk.encode import (
     cell_value_bound,
     encode_fiber,
     parse_dimacs,
-    parse_solution_line,
     write_layout,
 )
 from fiberwalk.enumeration import enumerate_fiber
@@ -31,7 +30,7 @@ from fiberwalk.models import (
     fiber_spec_from_observation,
     model_matrix,
 )
-from fiberwalk.sampling import enumerate_cnf_tables
+from fiberwalk.sampling import _parse_solutions, enumerate_cnf_tables
 
 
 def spec_of(model, cells, shape):
@@ -213,8 +212,12 @@ def test_write_layout_one_line_per_cell():
 
 
 def test_parse_solution_line():
-    assert parse_solution_line("v 1 -2 3 0") == {1: True, 2: False, 3: True}
-    assert parse_solution_line("1 -2 0") == {1: True, 2: False}
+    # the parser ExternalSampler applies to sampler output
+    assert _parse_solutions("v 1 -2 3 0") == [[1, -2, 3]]
+    assert _parse_solutions("1 -2 0") == [[1, -2]]
+    # banners and comments are skipped; 0 splits solutions across lines
+    text = "c banner\ns SATISFIABLE\nv 1 -2\nv 3 0 -1 2 0\n"
+    assert _parse_solutions(text) == [[1, -2, 3], [-1, 2]]
 
 
 @settings(max_examples=20, deadline=None)

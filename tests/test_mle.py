@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from fiberwalk.mle import (
     ChiSquare,
-    chi_square_statistic,
     fit_loglinear,
     independence_fitted,
     log_likelihood,
@@ -102,31 +101,27 @@ def test_chi_square_hand_value():
     # u = [[1,0],[0,1]], uniform pi, n = 2: four terms of (0.25)^2/0.25
     u = Table((1, 0, 0, 1), (2, 2))
     pi = (0.25, 0.25, 0.25, 0.25)
-    assert chi_square_statistic(u, pi, 2) == pytest.approx(1.0)
     assert ChiSquare(pi, 2)(u.cells) == pytest.approx(1.0)
 
 
 def test_chi_square_zero_prob_with_count_raises():
     u = Table((1, 1, 1, 1), (2, 2))
     with pytest.raises(ValueError, match="cell 0"):
-        chi_square_statistic(u, (0.0, 0.5, 0.25, 0.25), 4)
+        ChiSquare((0.0, 0.5, 0.25, 0.25), u.n)
 
 
 def test_chi_square_skips_structural_zeros():
     u = Table((0, 2, 1, 1), (2, 2))
     pi = (0.0, 0.5, 0.25, 0.25)
-    got = chi_square_statistic(u, pi, 4, zeros=(0,))
     want = (2 / 4 - 0.5) ** 2 / 0.5 + (1 / 4 - 0.25) ** 2 / 0.25 * 2
-    assert got == pytest.approx(want)
-    assert ChiSquare(pi, 4, zeros=(0,))(u.cells) == pytest.approx(got)
+    assert ChiSquare(pi, 4, zeros=(0,))(u.cells) == pytest.approx(want)
 
 
-def test_chi_square_class_matches_function():
+def test_chi_square_matches_array_formula():
     u = Table((3, 1, 2, 2), (2, 2))
     pi = independence_fitted(u)
-    assert ChiSquare(pi, u.n)(u.cells) == pytest.approx(
-        chi_square_statistic(u, pi, u.n)
-    )
+    want = np.sum((np.asarray(u.cells) / u.n - pi) ** 2 / pi)
+    assert ChiSquare(pi, u.n)(u.cells) == pytest.approx(want)
 
 
 @settings(max_examples=15, deadline=None)

@@ -14,6 +14,7 @@ import pytest
 
 from fiberwalk.models import (
     Independence,
+    NoThreeWay,
     QuasiIndependence,
     Table,
     build_n3f_matrix,
@@ -25,6 +26,7 @@ from fiberwalk.moves import (
     DegenerateZeroPattern,
     basic_moves_n3f,
     basic_moves_two_way,
+    build_moves,
     chordality_violations,
     cycle_moves,
     is_doubly_chordal,
@@ -122,6 +124,21 @@ def test_load_basis_rejects_wrong_length(tmp_path):
 def test_fixture_file_loads_with_81_moves(data_dir):
     basis = load_basis(data_dir / "n3f_3_basis.txt", build_n3f_matrix(3))
     assert len(basis.moves) == 81
+
+
+def test_build_moves_by_source_and_shape(data_dir):
+    u = Table((1, 0, 1, 0, 1, 0, 1, 0, 1), (3, 3))
+    quasi = fiber_spec_from_observation(QuasiIndependence((3, 3), ((0, 1),)), u)
+    assert build_moves("basic", quasi) == basic_moves_two_way((3, 3), (1,))
+    assert build_moves("cycle", quasi) == cycle_moves((3, 3), (1,))
+    cube = fiber_spec_from_observation(NoThreeWay(3), Table((1,) * 27, (3, 3, 3)))
+    assert build_moves("basic", cube) == basic_moves_n3f(3)
+    basis = build_moves("file", cube, data_dir / "n3f_3_basis.txt")
+    assert len(basis.moves) == 81
+    with pytest.raises(ValueError, match="two-way tables only"):
+        build_moves("cycle", cube)
+    with pytest.raises(ValueError, match="unknown move source"):
+        build_moves("lattice", quasi)
 
 
 # -- chordality

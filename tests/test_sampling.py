@@ -7,8 +7,7 @@ lines from stdout.  Every failure mode gets its own exception type so
 callers can tell a crashed sampler from one that emits garbage.
 """
 
-import math
-import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,17 +26,17 @@ from fiberwalk.sampling import (
     SamplerTimeoutError,
     SamplerValidityError,
     build_sampler,
-    l1_deviation,
     make_rng,
-    sample_external,
-    sample_internal_biased,
-    sample_internal_uniform,
-    tv_distance_to_uniform,
-    tv_distance_uniform,
 )
+from fiberwalk.walk import empirical_tv
 
 SPEC = fiber_spec_from_observation(Independence((2, 2)), Table((1, 1, 1, 1), (2, 2)))
 FIBER = list(enumerate_fiber(SPEC))  # 3 elements
+
+
+def tv_to_uniform(samples, fiber):
+    counts = Counter(u.cells for u in samples)
+    return empirical_tv(counts, {v.cells: 1.0 / len(fiber) for v in fiber})
 
 
 def solution_script(tmp_path, name, lines):
@@ -83,7 +82,7 @@ def test_internal_uniform_samples_lie_in_fiber():
 def test_internal_uniform_is_roughly_uniform():
     enc = encode_fiber(SPEC)
     out = InternalUniformSampler().sample(enc, 6000, seed=11)
-    tv = tv_distance_uniform(out, FIBER)
+    tv = tv_to_uniform(out, FIBER)
     print(f"TV to uniform over {len(FIBER)} elements at 6000 draws: {tv:.4f}")
     assert tv < 0.03
 
@@ -108,34 +107,33 @@ def test_internal_biased_tilts_first_free_cell():
     assert mean_first > np.mean(firsts)
 
 
-def test_op_wrappers_return_batches():
-    batch = sample_internal_uniform(SPEC, 50, seed=5)
-    assert batch.source.startswith("internal-uniform")
-    assert batch.seed == 5
-    assert len(batch.tables) == 50
-    biased = sample_internal_biased(SPEC, 50, seed=5, bias_strength=1.5)
-    assert biased.source.startswith("internal-biased")
-    tv = tv_distance_to_uniform(batch, SPEC)
-    assert 0.0 <= tv <= 1.0
+def test_build_sampler_internal_batches_and_labels():
+    enc = encode_fiber(SPEC)
+    for config in (
+        SamplerConfig(),
+        SamplerConfig(kind="internal-biased", bias_strength=1.5),
+    ):
+        out = build_sampler(config).sample(enc, 50, seed=5)
+        assert len(out) == 50
+        assert {t.cells for t in out} <= {t.cells for t in FIBER}
+        assert config.summary().startswith(config.kind)
+    assert 0.0 <= tv_to_uniform(out, FIBER) <= 1.0
 
 
 def test_tv_distance_uniform_hand_value():
     # all mass on one of two elements: TV = 1/2
     fiber = FIBER[:2]
     samples = [fiber[0]] * 10
-    assert tv_distance_uniform(samples, fiber) == pytest.approx(0.5)
+    assert tv_to_uniform(samples, fiber) == pytest.approx(0.5)
 
 
 def test_l1_deviation_is_twice_tv():
+    # the diagnose report's L1 line is 2 * TV: 1, 0 and 0.4 here
     fiber = FIBER[:2]
-    samples = [fiber[0]] * 10
-    assert l1_deviation(samples, fiber) == pytest.approx(1.0)
-    balanced = [fiber[0], fiber[1]] * 5
-    assert l1_deviation(balanced, fiber) == pytest.approx(0.0)
+    assert 2 * tv_to_uniform([fiber[0]] * 10, fiber) == pytest.approx(1.0)
+    assert 2 * tv_to_uniform([fiber[0], fiber[1]] * 5, fiber) == pytest.approx(0.0)
     mixed = [fiber[0]] * 7 + [fiber[1]] * 3
-    assert l1_deviation(mixed, fiber) == pytest.approx(
-        2 * tv_distance_uniform(mixed, fiber)
-    )
+    assert 2 * tv_to_uniform(mixed, fiber) == pytest.approx(0.4)
 
 
 # -- external bridge
@@ -236,15 +234,14 @@ def test_sample_file_uses_existing_cnf(tmp_path):
     assert out[0].cells == FIBER[1].cells
 
 
-def test_sample_external_wrapper(tmp_path):
+def test_build_sampler_external_batch_and_label(tmp_path):
     enc = encode_fiber(SPEC)
     cmd = solution_script(tmp_path, "wrapped", [lits_line(enc, FIBER[0])])
     config = SamplerConfig(kind="external", command_template=cmd)
-    batch = sample_external(enc, config, 1, seed=9)
-    assert batch.source.startswith("external")
-    assert batch.tables[0].cells == FIBER[0].cells
-    with pytest.raises(ValueError):
-        sample_external(enc, SamplerConfig(kind="internal-uniform"), 1, seed=9)
+    out = build_sampler(config).sample(enc, 1, seed=9)
+    assert config.summary() == f"external({cmd})"
+    assert out[0].cells == FIBER[0].cells
+
 
 
 def test_build_sampler_dispatch():

@@ -25,6 +25,7 @@ from fiberwalk.walk import (
     SatOnly,
     acceptance_ratio,
     empirical_tv,
+    make_schedule,
     rho_distribution,
     run_walk,
 )
@@ -101,6 +102,15 @@ def test_parallel_starts_accounting():
     assert rec.sat_steps == 2
     assert rec.move_steps == 6
     assert len(rec.finals) == 2
+
+
+def test_make_schedule_by_name():
+    assert make_schedule("moves-only", 3, 2) == MovesOnly()
+    assert make_schedule("sat-only", 3, 2) == SatOnly()
+    assert make_schedule("alternating", 3, 2) == Alternating(3)
+    assert make_schedule("parallel-starts", 3, 2) == ParallelStarts(3, 2)
+    with pytest.raises(ValueError, match="unknown schedule kind"):
+        make_schedule("round-robin", 3, 2)
 
 
 def test_moves_only_requires_moves():
