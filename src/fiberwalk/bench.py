@@ -29,7 +29,13 @@ from .models import (
     build_n3f_matrix,
     margins,
 )
-from .moves import MOVE_SOURCES, DegenerateZeroPattern, build_moves, repair_zero_pattern
+from .moves import (
+    MOVE_SOURCES,
+    DegenerateZeroPattern,
+    build_moves,
+    cycle_moves,
+    repair_zero_pattern,
+)
 from .sampling import SamplerConfig, build_sampler, make_rng
 from .walk import (
     Alternating,
@@ -125,7 +131,9 @@ def generate_initial_quasi(
     every long cycle of the free-cell graph is doubly chorded, zeroes
     any cell the repair claimed, and redistributes the removed counts
     over the free cells by largest remainder (preserving n).  A repair
-    that strips a full row or column triggers a fresh table.
+    that strips a full row or column, or leaves a free-cell graph
+    without cycles (a one-element fiber with no moves), triggers a
+    fresh table.
     """
     d1, d2 = (int(s) for s in shape)
     rng = make_rng(seed, 17)
@@ -136,6 +144,8 @@ def generate_initial_quasi(
         try:
             zeros = repair_zero_pattern((d1, d2), initial_zeros, rng)
         except DegenerateZeroPattern:
+            continue
+        if not len(cycle_moves((d1, d2), zeros)):
             continue
         added = [j for j in zeros if table.cells[j] > 0]
         if not added:

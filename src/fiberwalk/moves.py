@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .models import ConstraintMatrix, FiberSpec
+
+# networkx is imported by the cycle functions on first use, so that
+# importing the package (and every sampler child that does) skips it.
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "Move",
@@ -117,6 +121,8 @@ def basic_moves_two_way(shape: Sequence[int], zeros: Iterable[int] = ()) -> Move
 def _free_graph(shape: Sequence[int], zeros: Iterable[int]) -> nx.Graph:
     """Bipartite graph on rows and columns; edge (i, j) iff cell (i, j)
     is free."""
+    import networkx as nx
+
     d1, d2 = shape
     zero_set = set(zeros)
     G = nx.Graph()
@@ -151,6 +157,8 @@ def cycle_moves(shape: Sequence[int], zeros: Iterable[int] = ()) -> MoveSet:
     On a full 3x3 table this yields 15 moves: 9 rectangles and 6
     six-cycles.
     """
+    import networkx as nx
+
     d1, d2 = shape
     G = _free_graph(shape, zeros)
     seen = {}
@@ -291,6 +299,8 @@ def chordality_violations(shape: Sequence[int], zeros: Iterable[int] = ()) -> li
     chords.  An empty list means every long cycle is doubly chorded,
     which is the pattern condition for the rectangle walk to connect
     the fiber."""
+    import networkx as nx
+
     G = _free_graph(shape, zeros)
     bad = []
     for cycle in nx.simple_cycles(G):

@@ -169,6 +169,15 @@ def _parse_solutions(text: str) -> list[list[int]]:
     return solutions
 
 
+def _fiber_member(encoding: CNFEncoding, lits: list[int]) -> Table | None:
+    """The decoded table if ``lits`` encode a fiber element, else None."""
+    try:
+        table = encoding.decode(lits)
+    except ValueError:
+        return None
+    return table if encoding.spec.contains(table) else None
+
+
 @dataclass
 class ExternalSampler:
     """Runs ``command`` with {cnf}, {count} and {seed} placeholders.
@@ -176,11 +185,15 @@ class ExternalSampler:
     A command without a {seed} placeholder gets the seed through the
     FIBERWALK_SEED environment variable instead.  Solutions failing the
     fiber membership check are dropped; more than 50% invalid is an
-    error.
+    error.  ``calls``, ``solutions`` and ``invalid`` count the launches,
+    the parsed solutions and the dropped ones over the sampler's life.
     """
 
     command: str
     timeout: float | None = None
+    calls: int = field(default=0, init=False)
+    solutions: int = field(default=0, init=False)
+    invalid: int = field(default=0, init=False)
 
     def sample(self, encoding: CNFEncoding, count: int, seed: int) -> list[Table]:
         if count <= 0:
@@ -202,6 +215,7 @@ class ExternalSampler:
         if "{seed}" not in self.command:
             env = dict(os.environ)
             env[SEED_ENV_VAR] = str(seed)
+        self.calls += 1
         try:
             proc = subprocess.run(
                 shlex.split(cmd),
@@ -224,18 +238,22 @@ class ExternalSampler:
         solutions = _parse_solutions(proc.stdout)
         if not solutions:
             raise SamplerOutputError("no valid samples: output held no solutions")
+        # A sampler repeats solutions, so each distinct one is decoded
+        # and checked once; repeats share the Table.
+        members: dict[tuple[int, ...], Table | None] = {}
         tables = []
         invalid = 0
         for lits in solutions:
-            try:
-                table = encoding.decode(lits)
-            except ValueError:
+            key = tuple(lits)
+            if key not in members:
+                members[key] = _fiber_member(encoding, lits)
+            table = members[key]
+            if table is None:
                 invalid += 1
-                continue
-            if encoding.spec.contains(table):
-                tables.append(table)
             else:
-                invalid += 1
+                tables.append(table)
+        self.solutions += len(solutions)
+        self.invalid += invalid
         if not tables:
             raise SamplerValidityError(
                 f"no valid samples: all {invalid} solutions failed fiber validation"

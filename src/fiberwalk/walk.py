@@ -213,7 +213,11 @@ class _Recorder:
 
 class _ProposalFeed:
     """Batches sampler draws; each refill uses a fresh seed from the
-    scheduler stream so runs are reproducible."""
+    scheduler stream so runs are reproducible.
+
+    A refill is one sampler call, and a short batch is used as
+    returned: ``take`` refills again when it runs out.  Only an empty
+    batch is retried, with a fresh seed, at most 16 times."""
 
     def __init__(self, sampler: FiberSampler, encoding: CNFEncoding, sched_rng, chunk: int):
         self.sampler = sampler
@@ -237,16 +241,14 @@ class _ProposalFeed:
         return out
 
     def _refill(self, want: int) -> None:
-        batch: list[Table] = []
         for _ in range(16):
             seed = int(self.sched_rng.integers(1 << 62))
-            batch.extend(self.sampler.sample(self.encoding, want - len(batch), seed))
-            if len(batch) >= want:
-                break
-        if not batch:
-            raise SamplerError("sampler repeatedly returned no valid elements")
-        self.batch = batch
-        self.pos = 0
+            batch = self.sampler.sample(self.encoding, want, seed)
+            if batch:
+                self.batch = batch
+                self.pos = 0
+                return
+        raise SamplerError("sampler repeatedly returned no valid elements")
 
 
 class _Walk:

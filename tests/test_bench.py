@@ -254,6 +254,20 @@ def test_export_failures_file(tmp_path):
     assert (tmp_path / "summary.csv").read_text().count("\n") == 1
 
 
+def test_quasi_redraws_one_element_fibers(tmp_path):
+    """Run 2 of this config first drew a zero pattern whose free-cell
+    graph has no cycle: a one-element fiber with no moves, on which the
+    walk cannot start.  The generator now redraws such tables."""
+    config = ExperimentConfig(
+        model="quasi", shape=(4, 4), n=14, runs=3, steps=500,
+        schedule=ParallelStarts(5, 4), move_source="cycle", seed=11,
+    )
+    export_results(run_evaluation(config), tmp_path)
+    assert not (tmp_path / "failures.csv").exists()
+    rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+
+
 def test_plot_is_valid_svg(tmp_path):
     records = run_evaluation(small_config())
     export_results(records, tmp_path)

@@ -9,6 +9,11 @@ doubly chordal, so the checker and the repair routine get their own
 coverage here.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -213,3 +218,13 @@ def test_components_split_on_block_instance():
     assert len(moves.moves) == 1
     comps = connected_components_under_moves(spec, moves)
     assert sorted(len(c) for c in comps) == [3, 3]
+
+
+def test_package_import_skips_networkx():
+    """networkx is loaded by the cycle code on first use, not by
+    importing the package."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    check = "import fiberwalk, sys; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)
+    assert len(cycle_moves((3, 3)).moves) == 15

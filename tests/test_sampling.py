@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fiberwalk.encode import encode_fiber
+from fiberwalk.encode import CNFEncoding, encode_fiber
 from fiberwalk.enumeration import enumerate_fiber
 from fiberwalk.models import Independence, Table, fiber_spec_from_observation
 from fiberwalk.sampling import (
@@ -206,6 +206,44 @@ def test_external_sampler_majority_invalid(tmp_path):
     cmd = solution_script(tmp_path, "mostlybad", lines)
     with pytest.raises(SamplerValidityError, match="3 of 4"):
         ExternalSampler(cmd).sample(enc, 4, 1)
+
+
+def repeats_script(tmp_path, enc, valid, invalid):
+    """Prints ``valid`` copies of one fiber element's line, then
+    ``invalid`` copies of one non-member's line."""
+    wrong = Table((2, 2, 2, 2), (2, 2))
+    lines = [lits_line(enc, FIBER[0])] * valid + [lits_line(enc, wrong)] * invalid
+    return solution_script(tmp_path, f"repeats{valid}_{invalid}", lines)
+
+
+def test_external_sampler_decodes_each_distinct_solution_once(tmp_path, monkeypatch):
+    enc = encode_fiber(SPEC)
+    decoded = []
+    original = CNFEncoding.decode
+
+    def counting_decode(self, model):
+        decoded.append(tuple(model))
+        return original(self, model)
+
+    monkeypatch.setattr(CNFEncoding, "decode", counting_decode)
+    out = ExternalSampler(repeats_script(tmp_path, enc, 6, 2)).sample(enc, 8, 1)
+    assert [t.cells for t in out] == [FIBER[0].cells] * 6
+    assert len(decoded) == 2
+
+
+def test_external_sampler_counts_repeated_invalid_lines(tmp_path):
+    enc = encode_fiber(SPEC)
+    cmd = repeats_script(tmp_path, enc, 2, 3)
+    with pytest.raises(SamplerValidityError, match="3 of 5"):
+        ExternalSampler(cmd).sample(enc, 5, 1)
+
+
+def test_external_sampler_counters(tmp_path):
+    enc = encode_fiber(SPEC)
+    sam = ExternalSampler(repeats_script(tmp_path, enc, 6, 2))
+    assert (sam.calls, sam.solutions, sam.invalid) == (0, 0, 0)
+    sam.sample(enc, 8, 1)
+    assert (sam.calls, sam.solutions, sam.invalid) == (1, 8, 2)
 
 
 def test_external_sampler_seed_env_fallback(tmp_path):

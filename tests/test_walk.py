@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from fiberwalk.models import Independence, Table, fiber_spec_from_observation
 from fiberwalk.moves import basic_moves_two_way
-from fiberwalk.sampling import InternalUniformSampler
+from fiberwalk.sampling import InternalUniformSampler, make_rng
 from fiberwalk.walk import (
     Alternating,
     MovesOnly,
@@ -102,6 +102,52 @@ def test_parallel_starts_accounting():
     assert rec.sat_steps == 2
     assert rec.move_steps == 6
     assert len(rec.finals) == 2
+
+
+class ShortSampler:
+    """Returns ``count - short`` fiber elements per call after ``empty``
+    empty calls, and logs every requested count."""
+
+    def __init__(self, empty=0, short=1):
+        self.empty = empty
+        self.short = short
+        self.requests = []
+
+    def sample(self, encoding, count, seed):
+        self.requests.append(count)
+        if len(self.requests) <= self.empty:
+            return []
+        fiber = [Table(c, (2, 2)) for c in ((1, 1, 1, 1), (2, 0, 0, 2), (0, 2, 2, 0))]
+        idx = make_rng(seed).integers(len(fiber), size=count - self.short)
+        return [fiber[int(i)] for i in idx]
+
+
+def test_short_batches_make_one_call_per_refill():
+    """Alternating(2) at N=40 refills 20 draws at a time; a sampler
+    giving 19 per call serves the 20 SAT steps in two calls, and the
+    short batch is used as returned rather than topped up."""
+    sam = ShortSampler()
+    rec = run_walk(SPEC, U0, Alternating(2), MOVES, sam, 40, count_stat, seed=4)
+    assert not rec.aborted
+    assert sam.requests == [20, 20]
+    assert rec.sat_steps == 20 and rec.move_steps == 20
+
+
+def test_empty_batches_are_retried():
+    sam = ShortSampler(empty=3, short=0)
+    rec = run_walk(SPEC, U0, Alternating(2), MOVES, sam, 40, count_stat, seed=4)
+    assert not rec.aborted
+    assert sam.requests == [20, 20, 20, 20]  # 3 empty, then all 20 draws
+    assert rec.sat_steps == 20 and rec.move_steps == 20
+
+
+def test_sampler_returning_nothing_aborts_after_16_calls():
+    sam = ShortSampler(empty=10**9)
+    rec = run_walk(SPEC, U0, Alternating(2), MOVES, sam, 40, count_stat, seed=4)
+    assert rec.aborted
+    assert rec.abort_reason == "sampler repeatedly returned no valid elements"
+    assert len(sam.requests) == 16
+    assert rec.steps == 1  # the move step before the first SAT step
 
 
 def test_make_schedule_by_name():
