@@ -6,6 +6,7 @@ Initial tables blend an independent law with a dependent one
 by largest remainder, so the generated table always sums to n.
 """
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -266,6 +267,60 @@ def test_quasi_redraws_one_element_fibers(tmp_path):
     assert not (tmp_path / "failures.csv").exists()
     rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+
+
+# sha256 of every file `export_results` writes, for three small INI
+# configs; a change that keeps the pipeline keeps these bytes
+GOLDEN_EXPORTS = {
+    "independence-alternating": (
+        "[experiment]\nmodel = independence\nshape = 3, 3\nn = 15\n"
+        "runs = 3\nsteps = 400\nseed = 4\n"
+        "[schedule]\nkind = alternating\nperiod = 5\n",
+        {
+            "plot.svg": "d093029a43e5552dc0cf631ef38589c75ab91f5b9ae793466cf8733a4c2ea7c5",
+            "run_001.csv": "c2d60d707bbe47629fb2a802463b9edeadf296d8c07578d57f9d92a8d53dd3cf",
+            "run_002.csv": "ecf72ac79985ee7e0899456372bf83988c247636cdd4a433d67ffda5b6f41561",
+            "run_003.csv": "c3b67c723a84e9c6c0dc67e9e4ede42a5379a687f0f470ce9dd80ba3aba88b8c",
+            "summary.csv": "b368a7b4790797c7b5b2f5c60f08922f706b695cbe628a3bc52f8bd5654aa222",
+        },
+    ),
+    "quasi-cycle-parallel-biased": (
+        "[experiment]\nmodel = quasi\nshape = 4, 4\nn = 20\n"
+        "runs = 3\nsteps = 400\nseed = 2\n"
+        "[schedule]\nkind = parallel-starts\nperiod = 5\nwalks = 3\n"
+        "[sampler]\nkind = internal-biased\nbias_strength = 0.5\n"
+        "[moves]\nsource = cycle\n",
+        {
+            "plot.svg": "2b5281310d5cf0c8631454e51cf9a87ad2247201fb374ff2fc7da6d04f665a43",
+            "run_001.csv": "379a84b9ae5683a127ee7c4db86002001e1cdf75876a2ba47004d5bbac3dda68",
+            "run_002.csv": "7553daf05bcd888b3ff722a06812b95fc94a2f608abcd5c3de9768fea38a8cd1",
+            "run_003.csv": "1edc7a80c3a32c1d789fd2e4ebe383a659c176ebb0a3360e5d3d82ca63671389",
+            "summary.csv": "59c377d1ca7e089e1181f479b2032ca4e4d1852a6ca73c9c6087765eec4ded69",
+        },
+    ),
+    "n3f-sat-only": (
+        "[experiment]\nmodel = n3f\nshape = 3, 3, 3\nn = 20\n"
+        "runs = 2\nsteps = 400\nseed = 6\n"
+        "[schedule]\nkind = sat-only\n",
+        {
+            "plot.svg": "211e8348ad4a0cf6851e2e3984b756a9d358d1c68a2a9e8abad99861f6aee68a",
+            "run_001.csv": "88b8fff227ec15b3489abb577d250c1a2558b617aab025a795dbb37a19836341",
+            "run_002.csv": "fb5d8b92bb3586d473f32c58e00a42b9606806d3d544d2c59f3568b2230c7265",
+            "summary.csv": "3ae297be2dfcd7967c37b60919fa5fe695c71aa41a23239e29d4b04c8c9b9c3a",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXPORTS))
+def test_export_golden_bytes(name, tmp_path):
+    text, want = GOLDEN_EXPORTS[name]
+    config = tmp_path / "exp.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    export_results(run_evaluation(parse_config(config)), out)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == want
 
 
 def test_plot_is_valid_svg(tmp_path):
