@@ -1,14 +1,19 @@
-"""Evaluation driver: generate initial tables, walk them, measure
-steps to convergence, export results.
+"""The conditional test, and the evaluation driver that repeats it:
+generate initial tables, test them, measure steps to convergence,
+export results.
 
-Each run draws an initial table u-hat at a controlled distance from
-independence (a lambda-blend of an independent multinomial draw and a
-diagonal-concentrated one, rounded back to sum n by largest
-remainder), picks structural zeros where the model calls for them,
-fits the log-linear MLE to define the chi-square statistic, runs the
-configured walk, and records the running p-value.  When the fiber is
-small enough to enumerate, the exact p-value is computed and used as
-the convergence reference.
+:func:`conditional_test` is the one path from an observed table to its
+p-values, shared by ``fiberwalk test`` and ``fiberwalk bench``: it fits
+the log-linear MLE to define the chi-square statistic, computes the
+exact p-value when the fiber is small enough to enumerate, and runs
+the configured walk for the running p-value.
+
+Each evaluation run draws an initial table u-hat at a controlled
+distance from independence (a lambda-blend of an independent
+multinomial draw and a diagonal-concentrated one, rounded back to sum
+n by largest remainder), picks structural zeros where the model calls
+for them, and tests it; the exact p-value, when there is one, is the
+convergence reference.
 """
 
 from __future__ import annotations
@@ -21,13 +26,15 @@ from typing import Sequence
 import numpy as np
 
 from .enumeration import enumerate_fiber, exact_p_from_enumeration
-from .mle import ChiSquare, fit_loglinear
+from .mle import ChiSquare, FitResult, fit_loglinear
 from .models import (
     FiberSpec,
+    Independence,
+    NoThreeWay,
+    QuasiIndependence,
     Table,
-    build_independence_matrix,
-    build_n3f_matrix,
-    margins,
+    fiber_spec_from_observation,
+    unflatten_index,
 )
 from .moves import (
     MOVE_SOURCES,
@@ -37,19 +44,13 @@ from .moves import (
     repair_zero_pattern,
 )
 from .sampling import SamplerConfig, build_sampler, make_rng
-from .walk import (
-    Alternating,
-    MovesOnly,
-    ParallelStarts,
-    SatOnly,
-    Schedule,
-    make_schedule,
-    run_walk,
-)
+from .walk import MovesOnly, RunRecord, Schedule, make_schedule, run_walk
 
 __all__ = [
     "ExperimentConfig",
     "BenchRun",
+    "ConditionalTest",
+    "conditional_test",
     "generate_initial_two_way",
     "generate_initial_quasi",
     "generate_initial_n3f",
@@ -57,7 +58,6 @@ __all__ = [
     "convergence_step",
     "export_results",
     "parse_config",
-    "describe_schedule",
     "round_largest_remainder",
     "DEFAULT_LAMBDAS",
 ]
@@ -177,13 +177,7 @@ def generate_initial_n3f(
     for i, j, k in rng.integers(0, d, size=(n, 3)):
         cells[(int(i) * d + int(j)) * d + int(k)] += 1
     v = Table(cells=tuple(cells), shape=(d, d, d))
-    matrix = build_n3f_matrix(d)
-    spec = FiberSpec(
-        matrix=matrix,
-        margins=margins(matrix, v),
-        structural_zeros=(),
-        shape=(d, d, d),
-    )
+    spec = fiber_spec_from_observation(NoThreeWay(d), v)
     batch_seed = int(rng.integers(1 << 62))
     tables = build_sampler(sampler).sample(encode_fiber(spec), 1, batch_seed)
     return tables[0]
@@ -244,7 +238,6 @@ class BenchRun:
     exact_p: float | None
     p_sequence: np.ndarray | None
     convergence_step: int | None
-    schedule: str
     sat_steps: int
     move_steps: int
     final_p: float | None
@@ -253,18 +246,6 @@ class BenchRun:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-def describe_schedule(schedule: Schedule) -> str:
-    if isinstance(schedule, MovesOnly):
-        return "moves-only"
-    if isinstance(schedule, SatOnly):
-        return "sat-only"
-    if isinstance(schedule, Alternating):
-        return f"alternating(n={schedule.n})"
-    if isinstance(schedule, ParallelStarts):
-        return f"parallel-starts(n={schedule.n},k={schedule.k})"
-    return repr(schedule)
 
 
 def convergence_step(
@@ -287,52 +268,71 @@ def convergence_step(
     return int(bad[-1]) + 2
 
 
+@dataclass(frozen=True)
+class ConditionalTest:
+    """What one conditional test produced: the MLE fit, the exact
+    p-value (None when the fiber exceeds the enumeration cap) and the
+    walk's record, whose ``threshold`` is the observed statistic."""
+
+    fit: FitResult
+    exact_p: float | None
+    rec: RunRecord
+
+
+def conditional_test(
+    spec: FiberSpec,
+    u_obs: Table,
+    schedule: Schedule,
+    move_source: str,
+    move_path,
+    sampler: SamplerConfig,
+    steps: int,
+    seed: int,
+    exact_cap: int,
+) -> ConditionalTest:
+    """Test ``u_obs`` against its fiber ``spec``: fit the MLE, fix the
+    chi-square statistic at the observed table, enumerate up to
+    ``exact_cap`` elements for the exact p-value, then walk ``steps``
+    steps under ``schedule`` with the moves from ``move_source`` and
+    the configured sampler."""
+    fit = fit_loglinear(spec.matrix, u_obs, zeros=spec.structural_zeros)
+    stat = ChiSquare(fit.pi, u_obs.n, spec.structural_zeros)
+    enum = enumerate_fiber(spec, cap=exact_cap)
+    exact = exact_p_from_enumeration(enum, stat(u_obs.cells), stat) if enum.complete else None
+    moves = build_moves(move_source, spec, move_path)
+    rec = run_walk(spec, u_obs, schedule, moves, build_sampler(sampler), steps, stat, seed)
+    return ConditionalTest(fit, exact, rec)
+
+
 def _one_run(
     config: ExperimentConfig, run_id: int, lam: float | None, gen_seed: int, walk_seed: int
 ) -> BenchRun:
     if config.model == "independence":
         initial = generate_initial_two_way(config.shape, config.n, lam, gen_seed)
-        zeros: tuple[int, ...] = ()
-        matrix = build_independence_matrix(config.shape)
+        model = Independence(config.shape)
     elif config.model == "quasi":
         initial, zeros = generate_initial_quasi(config.shape, config.n, lam, gen_seed)
-        matrix = build_independence_matrix(config.shape)
+        model = QuasiIndependence(config.shape, [unflatten_index(j, config.shape) for j in zeros])
     else:
         initial = generate_initial_n3f(config.shape[0], config.n, config.sampler, gen_seed)
-        zeros = ()
-        matrix = build_n3f_matrix(config.shape[0])
-
-    spec = FiberSpec(
-        matrix=matrix,
-        margins=margins(matrix, initial),
-        structural_zeros=zeros,
-        shape=config.shape,
+        model = NoThreeWay(config.shape[0])
+    spec = fiber_spec_from_observation(model, initial)
+    test = conditional_test(
+        spec, initial, config.schedule, config.move_source, config.move_path,
+        config.sampler, config.steps, walk_seed, config.exact_cap,
     )
-    fit = fit_loglinear(matrix, initial, zeros=zeros)
-    stat = ChiSquare(np.asarray(fit.pi), initial.n, zeros)
-    threshold = stat(initial.cells)
-
-    enum = enumerate_fiber(spec, cap=config.exact_cap)
-    exact = (
-        exact_p_from_enumeration(enum, threshold, stat) if enum.complete else None
-    )
-
-    moves = build_moves(config.move_source, spec, config.move_path)
-    sampler = build_sampler(config.sampler)
-    rec = run_walk(
-        spec, initial, config.schedule, moves, sampler, config.steps, stat, walk_seed
-    )
-    label = describe_schedule(config.schedule)
+    exact, rec = test.exact_p, test.rec
+    zeros = spec.structural_zeros
     if rec.aborted:
         return BenchRun(
-            run_id, initial, lam, zeros, exact, None, None, label,
+            run_id, initial, lam, zeros, exact, None, None,
             rec.sat_steps, rec.move_steps, None,
             error=f"walk aborted: {rec.abort_reason}",
         )
     reference = exact if exact is not None else rec.p_final
     step = convergence_step(rec.p_sequence, reference, config.tol)
     return BenchRun(
-        run_id, initial, lam, zeros, exact, rec.p_sequence, step, label,
+        run_id, initial, lam, zeros, exact, rec.p_sequence, step,
         rec.sat_steps, rec.move_steps, rec.p_final,
     )
 
@@ -355,8 +355,7 @@ def run_evaluation(config: ExperimentConfig) -> list[BenchRun]:
         except Exception as exc:  # record, skip, keep going
             records.append(
                 BenchRun(
-                    i + 1, None, lam, (), None, None, None,
-                    describe_schedule(config.schedule), 0, 0, None,
+                    i + 1, None, lam, (), None, None, None, 0, 0, None,
                     error=f"{type(exc).__name__}: {exc}",
                 )
             )
@@ -543,8 +542,6 @@ def parse_config(path) -> ExperimentConfig:
             kind=kind,
             command_template=s.get("command", fallback=None) or None,
             timeout=timeout,
-            epsilon=s.getfloat("epsilon", fallback=0.0),
-            eta=s.getfloat("eta", fallback=0.0),
             bias_strength=s.getfloat("bias_strength", fallback=0.0),
         )
 

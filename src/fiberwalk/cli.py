@@ -20,11 +20,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .bench import export_results, parse_config, run_evaluation
+from .bench import conditional_test, export_results, parse_config, run_evaluation
 from .dpll import projected_models
 from .encode import encode_fiber, parse_dimacs, write_layout
-from .enumeration import enumerate_fiber, exact_p_from_enumeration
-from .mle import ChiSquare, fit_loglinear
+from .enumeration import enumerate_fiber
 from .models import (
     FiberSpec,
     Independence,
@@ -38,9 +37,9 @@ from .models import (
     unflatten_index,
     write_table,
 )
-from .moves import MOVE_SOURCES, build_moves
-from .sampling import SamplerConfig, build_sampler
-from .walk import SCHEDULE_KINDS, empirical_tv, make_schedule, run_walk
+from .moves import MOVE_SOURCES
+from .sampling import KINDS, SamplerConfig, build_sampler
+from .walk import SCHEDULE_KINDS, empirical_tv, make_schedule
 
 __all__ = ["main", "build_parser"]
 
@@ -52,7 +51,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_spec_args(p: argparse.ArgumentParser, with_table: bool = True) -> None:
+def _add_spec_args(p: argparse.ArgumentParser, with_margins: bool = True) -> None:
+    """Fiber flags; without ``with_margins`` the fiber always comes from
+    a required --table."""
     g = p.add_argument_group("fiber specification")
     g.add_argument(
         "--model",
@@ -63,13 +64,14 @@ def _add_spec_args(p: argparse.ArgumentParser, with_table: bool = True) -> None:
     g.add_argument(
         "--shape", type=int, nargs="+", help="table dimensions, e.g. --shape 3 3"
     )
-    g.add_argument(
-        "--margins",
-        type=int,
-        nargs="+",
-        help="margin vector in constraint-row order (axis by axis for "
-        "independence; (i,j),(i,k),(j,k) blocks for n3f)",
-    )
+    if with_margins:
+        g.add_argument(
+            "--margins",
+            type=int,
+            nargs="+",
+            help="margin vector in constraint-row order (axis by axis for "
+            "independence; (i,j),(i,k),(j,k) blocks for n3f); not with --table",
+        )
     g.add_argument(
         "--zeros",
         nargs="*",
@@ -77,10 +79,11 @@ def _add_spec_args(p: argparse.ArgumentParser, with_table: bool = True) -> None:
         help="structural-zero cells, as comma-separated multi-indices "
         "(e.g. 0,1) or flat indices",
     )
-    if with_table:
-        g.add_argument(
-            "--table", help="observation file; its margins define the fiber"
-        )
+    g.add_argument(
+        "--table",
+        required=not with_margins,
+        help="observation file; its margins define the fiber",
+    )
 
 
 def _add_walk_args(p: argparse.ArgumentParser) -> None:
@@ -98,7 +101,7 @@ def _add_sampler_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("sampler")
     g.add_argument(
         "--sampler",
-        choices=["internal-uniform", "internal-biased", "external"],
+        choices=KINDS,
         default="internal-uniform",
     )
     g.add_argument(
@@ -135,9 +138,10 @@ def _make_model(name: str, shape, zeros_multi):
 
 def _build_spec(args) -> tuple[FiberSpec, Table | None]:
     """Fiber from either an observation file or explicit margins."""
-    table_path = getattr(args, "table", None)
-    if table_path:
-        with open(table_path) as f:
+    if args.table:
+        if getattr(args, "margins", None) is not None:
+            raise ValueError("--margins cannot be combined with --table, which sets the margins")
+        with open(args.table) as f:
             u, file_zeros = read_table(f)
         if args.shape and tuple(args.shape) != u.shape:
             raise ValueError(
@@ -167,20 +171,6 @@ def _build_spec(args) -> tuple[FiberSpec, Table | None]:
         ),
         None,
     )
-
-
-def _build_sampler_config(args) -> SamplerConfig:
-    if args.sampler == "external":
-        if not args.sampler_command:
-            raise ValueError("--sampler external needs --sampler-command")
-        return SamplerConfig(
-            kind="external",
-            command_template=args.sampler_command,
-            timeout=args.timeout,
-        )
-    if args.sampler == "internal-biased":
-        return SamplerConfig(kind="internal-biased", bias_strength=args.bias_strength)
-    return SamplerConfig()
 
 
 def cmd_encode(args) -> int:
@@ -223,31 +213,23 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_test(args) -> int:
-    with open(args.table) as f:
-        u, file_zeros = read_table(f)
-    zeros_multi = file_zeros + _parse_zeros(args.zeros, u.shape)
-    model = _make_model(args.model, u.shape, zeros_multi)
-    spec = fiber_spec_from_observation(model, u)
-    fit = fit_loglinear(spec.matrix, u, zeros=spec.structural_zeros)
+    spec, u = _build_spec(args)
+    if args.moves == "file" and not args.moves_file:
+        raise ValueError("--moves file needs --moves-file PATH")
+    sampler = SamplerConfig(args.sampler, args.sampler_command, args.timeout, args.bias_strength)
+    schedule = make_schedule(args.schedule, args.period, args.walks)
+    test = conditional_test(
+        spec, u, schedule, args.moves, args.moves_file, sampler,
+        args.steps, args.seed, args.exact_cap,
+    )
+    fit, exact, rec = test.fit, test.exact_p, test.rec
     if not fit.converged:
         print(
             f"warning: MLE stopped at discrepancy {fit.discrepancy:.3g} "
             f"after {fit.iterations} iterations",
             file=sys.stderr,
         )
-    stat = ChiSquare(fit.pi, u.n, spec.structural_zeros)
-    threshold = stat(u.cells)
-
-    enum = enumerate_fiber(spec, cap=args.exact_cap)
-    exact = exact_p_from_enumeration(enum, threshold, stat) if enum.complete else None
-
-    if args.moves == "file" and not args.moves_file:
-        raise ValueError("--moves file needs --moves-file PATH")
-    moves = build_moves(args.moves, spec, args.moves_file)
-    sampler = build_sampler(_build_sampler_config(args))
-    schedule = make_schedule(args.schedule, args.period, args.walks)
-    rec = run_walk(spec, u, schedule, moves, sampler, args.steps, stat, args.seed)
-    print(f"statistic: {threshold!r}")
+    print(f"statistic: {rec.threshold!r}")
     print(f"steps: {rec.steps} (sat {rec.sat_steps}, move {rec.move_steps})")
     if rec.aborted:
         print(f"error: walk aborted: {rec.abort_reason}", file=sys.stderr)
@@ -278,7 +260,7 @@ def cmd_bench(args) -> int:
 
 def cmd_diagnose(args) -> int:
     spec, _ = _build_spec(args)
-    config = _build_sampler_config(args)
+    config = SamplerConfig(args.sampler, args.sampler_command, args.timeout, args.bias_strength)
     draws = build_sampler(config).sample(encode_fiber(spec), args.draws, args.seed)
     fiber = enumerate_fiber(spec, cap=1_000_000).require_complete()
     uniform = {v.cells: 1.0 / len(fiber) for v in fiber}
@@ -308,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("test", help="conditional goodness-of-fit test")
-    p.add_argument("--table", required=True, help="observation file")
-    _add_spec_args(p, with_table=False)
+    _add_spec_args(p, with_margins=False)
     p.add_argument("--steps", type=int, default=10_000)
     p.add_argument("--exact-cap", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

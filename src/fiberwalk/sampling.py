@@ -38,6 +38,7 @@ __all__ = [
     "make_rng",
     "FiberSampler",
     "SamplerConfig",
+    "KINDS",
     "build_sampler",
     "ExternalSampler",
     "InternalUniformSampler",
@@ -100,19 +101,14 @@ KINDS = ("external", "internal-uniform", "internal-biased")
 class SamplerConfig:
     """Declarative description of a sample source.
 
-    ``epsilon`` and ``eta`` record the tolerance the external tool
-    advertises (per-solution multiplicative bound and total-variation
-    budget respectively); they document the source and are not
-    enforced, since a black-box sampler cannot be forced to honor them.
-    ``eta`` follows the unnormalized L1 convention, so it lives in
-    [0, 2]; halve it to compare against a TV distance.
+    ``command_template`` and ``timeout`` apply to the external kind,
+    ``bias_strength`` to the internal-biased one; the other kinds
+    ignore them.
     """
 
     kind: str = "internal-uniform"
     command_template: str | None = None
     timeout: float | None = None
-    epsilon: float = 0.0
-    eta: float = 0.0
     bias_strength: float = 0.0
 
     def __post_init__(self) -> None:
@@ -120,8 +116,6 @@ class SamplerConfig:
             raise ValueError(f"unknown sampler kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "external" and not self.command_template:
             raise ValueError("external sampler needs a command_template")
-        if self.epsilon < 0 or self.eta < 0:
-            raise ValueError("epsilon and eta must be nonnegative")
 
     def summary(self) -> str:
         if self.kind == "external":
@@ -266,64 +260,53 @@ class ExternalSampler:
 
 
 @dataclass
-class InternalUniformSampler:
-    """Exactly uniform over the fiber, by enumerate-then-draw.
-
-    The enumeration is cached per fiber, and draws reference the cached
-    tables rather than copying them.
-    """
+class _EnumeratingSampler:
+    """Enumerates each fiber once, caches its elements with their draw
+    law (None for uniform), and draws element indices from that law.
+    Draws reference the cached tables rather than copying them."""
 
     cap: int = 1_000_000
-    _cache: dict[FiberSpec, tuple[Table, ...]] = field(default_factory=dict, repr=False)
-
-    def _elements(self, spec: FiberSpec) -> tuple[Table, ...]:
-        if spec not in self._cache:
-            enum = enumerate_fiber(spec, cap=self.cap).require_complete()
-            self._cache[spec] = enum.elements
-        return self._cache[spec]
-
-    def sample(self, encoding: CNFEncoding, count: int, seed: int) -> list[Table]:
-        elements = self._elements(encoding.spec)
-        if not elements:
-            raise SamplerOutputError("fiber is empty")
-        rng = make_rng(seed)
-        idx = rng.integers(len(elements), size=count)
-        return [elements[int(i)] for i in idx]
-
-
-@dataclass
-class InternalBiasedSampler:
-    """Exponentially tilted draw: weight exp(strength * u_first), where
-    u_first is the first free cell.  strength = 0 recovers uniform."""
-
-    strength: float = 1.0
-    cap: int = 1_000_000
-    _cache: dict[FiberSpec, tuple[tuple[Table, ...], np.ndarray]] = field(
-        default_factory=dict, repr=False
+    _cache: dict[FiberSpec, tuple[tuple[Table, ...], np.ndarray | None]] = field(
+        default_factory=dict, init=False, repr=False
     )
 
-    def _dist(self, spec: FiberSpec) -> tuple[tuple[Table, ...], np.ndarray]:
+    def _law(self, spec: FiberSpec, elements: tuple[Table, ...]) -> np.ndarray | None:
+        return None
+
+    def _dist(self, spec: FiberSpec) -> tuple[tuple[Table, ...], np.ndarray | None]:
         if spec not in self._cache:
             elements = enumerate_fiber(spec, cap=self.cap).require_complete().elements
-            zeros = spec.zero_set()
-            first = next((j for j in range(spec.d) if j not in zeros), None)
-            if first is None:
-                raise ValueError("every cell is a structural zero")
-            logw = np.array(
-                [self.strength * u.cells[first] for u in elements], dtype=float
-            )
-            logw -= logw.max() if len(logw) else 0.0
-            w = np.exp(logw)
-            self._cache[spec] = (elements, w / w.sum())
+            self._cache[spec] = (elements, self._law(spec, elements))
         return self._cache[spec]
 
     def sample(self, encoding: CNFEncoding, count: int, seed: int) -> list[Table]:
         elements, probs = self._dist(encoding.spec)
-        if not len(elements):
+        if not elements:
             raise SamplerOutputError("fiber is empty")
-        rng = make_rng(seed)
-        idx = rng.choice(len(elements), size=count, p=probs)
+        idx = make_rng(seed).choice(len(elements), size=count, p=probs)
         return [elements[int(i)] for i in idx]
+
+
+class InternalUniformSampler(_EnumeratingSampler):
+    """Exactly uniform over the fiber, by enumerate-then-draw."""
+
+
+@dataclass
+class InternalBiasedSampler(_EnumeratingSampler):
+    """Exponentially tilted draw: weight exp(strength * u_first), where
+    u_first is the first free cell.  strength = 0 recovers uniform."""
+
+    strength: float = 1.0
+
+    def _law(self, spec: FiberSpec, elements: tuple[Table, ...]) -> np.ndarray:
+        zeros = spec.zero_set()
+        first = next((j for j in range(spec.d) if j not in zeros), None)
+        if first is None:
+            raise ValueError("every cell is a structural zero")
+        logw = np.array([self.strength * u.cells[first] for u in elements], dtype=float)
+        logw -= logw.max() if len(logw) else 0.0
+        w = np.exp(logw)
+        return w / w.sum()
 
 
 def enumerate_cnf_tables(encoding: CNFEncoding, cap: int = 10_000_000) -> list[Table]:

@@ -236,10 +236,6 @@ class _ProposalFeed:
         self.consumed += 1
         return t
 
-    def take_many(self, count: int) -> list[Table]:
-        out = [self.take() for _ in range(count)]
-        return out
-
     def _refill(self, want: int) -> None:
         for _ in range(16):
             seed = int(self.sched_rng.integers(1 << 62))
@@ -350,7 +346,6 @@ def run_walk(
     stat: Callable[[tuple[int, ...]], float],
     seed: int,
     count_states: bool = False,
-    debug: bool = False,
 ) -> RunRecord:
     """Run Metropolis-Hastings for N recorded steps under a schedule.
 
@@ -393,7 +388,7 @@ def run_walk(
         k, n = schedule.k, schedule.n
         picks = sched_rng.integers(0, k, size=-(-N // n))
         try:
-            starts = feed.take_many(k)
+            starts = [feed.take() for _ in range(k)]
         except SamplerError as exc:
             return _finish(rec, spec, u_obs, [], 0, 0, True, str(exc))
         walks = [_Walk(s, make_rng(seed, 1 + w)) for w, s in enumerate(starts)]
@@ -406,8 +401,6 @@ def run_walk(
             for _ in range(burst):
                 wk.move_step(moves, rec)
             done += burst
-            if debug:
-                _debug_check(spec, wk.cur_t)
         return _finish(rec, spec, u_obs, [w.cur_t for w in walks], k, N, False, None)
 
     # single-walk schedules
@@ -428,18 +421,10 @@ def run_walk(
             else:
                 walk.move_step(moves, rec)
                 move_steps += 1
-            if debug:
-                _debug_check(spec, walk.cur_t)
     except SamplerError as exc:
         aborted = True
         reason = str(exc)
     return _finish(rec, spec, u_obs, [walk.cur_t], sat_steps, move_steps, aborted, reason)
-
-
-def _debug_check(spec: FiberSpec, cells: tuple[int, ...]) -> None:
-    t = Table(cells=cells, shape=spec.shape)
-    if not spec.contains(t):
-        raise AssertionError(f"walk left the fiber: {cells}")
 
 
 def _finish(rec, spec, u_obs, final_cells, sat_steps, move_steps, aborted, reason) -> RunRecord:

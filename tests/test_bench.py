@@ -17,7 +17,6 @@ from fiberwalk.bench import (
     BenchRun,
     ExperimentConfig,
     convergence_step,
-    describe_schedule,
     export_results,
     generate_initial_n3f,
     generate_initial_quasi,
@@ -27,7 +26,7 @@ from fiberwalk.bench import (
     run_evaluation,
 )
 from fiberwalk.sampling import SamplerConfig
-from fiberwalk.walk import Alternating, MovesOnly, ParallelStarts, SatOnly
+from fiberwalk.walk import Alternating, ParallelStarts
 
 
 # -- rounding
@@ -121,17 +120,6 @@ def test_convergence_step_empty_raises():
 def test_convergence_step_single_element():
     assert convergence_step([0.1], 0.1) == 1
     assert convergence_step([0.9], 0.1) is None
-
-
-# -- schedule descriptions
-
-
-def test_describe_schedule():
-    assert describe_schedule(MovesOnly()) == "moves-only"
-    assert describe_schedule(SatOnly()) == "sat-only"
-    assert "10" in describe_schedule(Alternating(10))
-    text = describe_schedule(ParallelStarts(5, 4))
-    assert "5" in text and "4" in text
 
 
 # -- config files
@@ -244,7 +232,7 @@ def test_export_files_and_determinism(tmp_path):
 
 def test_export_failures_file(tmp_path):
     records = [
-        BenchRun(0, None, 0.5, (), None, None, None, "alternating(5)", 0, 0, None,
+        BenchRun(0, None, 0.5, (), None, None, None, 0, 0, None,
                  error="generator exploded"),
     ]
     export_results(records, tmp_path)

@@ -309,3 +309,33 @@ def test_diagnose_enumerates_once_besides_the_sampler(
     assert code == 0
     assert "fiber size: 55" in capsys.readouterr().out
     assert len(calls) == 2
+
+
+def test_test_rejects_a_shape_that_contradicts_the_table(readme_table, capsys):
+    code = run_cli("test", "--table", readme_table, "--shape", "9", "9", "--steps", "50")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "contradicts table shape (3, 3)" in captured.err
+    assert "mcmc p:" not in captured.out
+
+
+def test_test_has_no_margins_flag(readme_table, capsys):
+    code = run_cli("test", "--table", readme_table, "--margins", "1", "2", "3")
+    assert code == 1
+    assert "unrecognized arguments: --margins" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("encode", ["--out"]), ("enumerate", ["--count-only"]), ("diagnose", [])],
+)
+def test_margins_with_table_is_an_error(command, extra, readme_table, tmp_path, capsys):
+    if command == "encode":
+        extra = extra + [str(tmp_path / "fiber")]
+    code = run_cli(command, "--table", readme_table, "--margins", "1", "1", "1", "1", "1", "1",
+                   *extra)
+    assert code == 2
+    assert list(tmp_path.iterdir()) == [tmp_path / "obs.tbl"]
+    captured = capsys.readouterr()
+    assert "--margins cannot be combined with --table" in captured.err
+    assert "count:" not in captured.out

@@ -188,6 +188,21 @@ def test_state_counts_total_is_step_count():
     assert sum(rec.state_counts.values()) == 400
 
 
+@pytest.mark.parametrize(
+    "schedule", [MovesOnly(), SatOnly(), Alternating(4), ParallelStarts(5, 3)], ids=repr
+)
+def test_every_visited_state_is_in_the_fiber(schedule):
+    u0 = Table((2, 1, 0, 1, 1, 1, 0, 1, 2), (3, 3))  # a 55-element fiber
+    spec = fiber_spec_from_observation(Independence((3, 3)), u0)
+    rec = run_walk(
+        spec, u0, schedule, basic_moves_two_way((3, 3)), InternalUniformSampler(),
+        2000, count_stat, seed=4, count_states=True,
+    )
+    assert len(rec.state_counts) > 1
+    assert all(spec.contains(Table(cells, (3, 3))) for cells in rec.state_counts)
+    assert all(spec.contains(t) for t in rec.finals)
+
+
 def test_rho_distribution_hand_values():
     fiber = [Table((2, 0, 0, 2), (2, 2)), Table((1, 1, 1, 1), (2, 2))]
     rho = rho_distribution(fiber)
