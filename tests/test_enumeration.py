@@ -8,7 +8,9 @@ share of the fiber at or above the observed statistic, with
 rho(u) proportional to 1/prod(u_ij!).
 """
 
+import hashlib
 import io
+import itertools
 import math
 
 import pytest
@@ -24,7 +26,10 @@ from fiberwalk.enumeration import (
     write_enumeration,
 )
 from fiberwalk.models import (
+    ConstraintMatrix,
+    FiberSpec,
     Independence,
+    NoThreeWay,
     QuasiIndependence,
     Table,
     fiber_spec_from_observation,
@@ -146,3 +151,149 @@ def test_enumeration_complete_and_valid_on_random_two_by_two(cells):
     assert u in enum.elements
     for t in enum:
         assert margins(spec.matrix, t) == spec.margins
+
+
+# Three fibers whose full enumeration (order included) is pinned by the
+# sha256 of its `write_enumeration` text.
+ORDER_FIBERS = {
+    "independence-3x4": (
+        Independence((3, 4)),
+        (2, 1, 0, 3, 1, 2, 3, 0, 0, 1, 2, 1),
+        (3, 4),
+    ),
+    "quasi-4x4": (
+        QuasiIndependence((4, 4), ((0, 0), (1, 1), (2, 3))),
+        (0, 2, 1, 1, 1, 0, 2, 1, 2, 1, 1, 0, 1, 1, 0, 2),
+        (4, 4),
+    ),
+    "n3f-3x3x3": (
+        NoThreeWay(3),
+        (3, 1, 2, 0, 3, 1, 2, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 3, 2, 1, 0, 1, 1, 2, 1, 0, 1),
+        (3, 3, 3),
+    ),
+}
+
+ORDER_GOLDENS = {
+    "independence-3x4": (1102, "e869f3a706e03076b4dc73627f8ece1888e6bd99ff4c9158bb482f5f68864688"),
+    "quasi-4x4": (756, "eb8ef2a9cbd5e91d7f2fe1a77d5d15a76410128ee3f301fb72e5307de4df0d9d"),
+    "n3f-3x3x3": (749, "d42db5ea461cd97b31136abc02b9d21c8397552c14e0890917728ac7a656b5c9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_FIBERS))
+def test_enumeration_golden(name):
+    spec = spec_of(*ORDER_FIBERS[name])
+    enum = enumerate_fiber(spec)
+    buf = io.StringIO()
+    write_enumeration(enum, buf)
+    size, digest = ORDER_GOLDENS[name]
+    assert len(enum) == size
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_FIBERS))
+def test_enumeration_order_is_lexicographic(name):
+    cells = [u.cells for u in enumerate_fiber(spec_of(*ORDER_FIBERS[name]))]
+    assert all(a < b for a, b in zip(cells, cells[1:]))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 7, 100, 755, 756, 757])
+def test_cap_keeps_the_first_elements(cap):
+    spec = spec_of(*ORDER_FIBERS["quasi-4x4"])
+    full = enumerate_fiber(spec).elements
+    enum = enumerate_fiber(spec, cap=cap)
+    assert enum.elements == full[:cap]
+    assert enum.complete == (cap >= len(full))
+
+
+def brute_force_fiber(spec):
+    """Every table with A u = b and zeros on S, by itertools.product
+    over each free cell's range 0..min_i b_i // A_ij."""
+    A = spec.matrix.entries
+    ranges = []
+    for j in range(spec.d):
+        if j in spec.zero_set():
+            ranges.append(range(1))
+        else:
+            cap = min(spec.margins[i] // int(A[i, j]) for i in spec.matrix.col_support[j])
+            ranges.append(range(cap + 1))
+    found = []
+    for cells in itertools.product(*ranges):
+        u = Table(cells, spec.shape)
+        if margins(spec.matrix, u) == spec.margins:
+            found.append(cells)
+    return sorted(found)
+
+
+# hand-built fibers; coefficients above 1 exercise the floor (upper)
+# and ceiling (lower) divisions of the DFS bounds
+ORACLE_SPECS = {
+    "coefficient-2": FiberSpec(
+        ConstraintMatrix([[1, 2, 1, 0], [0, 1, 2, 2]]),
+        (6, 12),
+        (),
+        (2, 2),
+    ),
+    "coefficients-1-to-3": FiberSpec(
+        ConstraintMatrix([[3, 1, 0, 2, 1, 0], [0, 2, 1, 1, 0, 3], [1, 1, 1, 1, 1, 1]]),
+        (5, 10, 7),
+        (),
+        (2, 3),
+    ),
+    "coefficient-2-with-zeros": FiberSpec(
+        ConstraintMatrix([[1, 2, 1, 0, 1, 0], [0, 1, 2, 1, 0, 2], [2, 0, 1, 1, 1, 1]]),
+        (5, 8, 10),
+        (1,),
+        (2, 3),
+    ),
+    "quasi-3x3-zeros": spec_of(
+        QuasiIndependence((3, 3), ((0, 1), (2, 2))),
+        (2, 0, 1, 1, 2, 1, 3, 1, 0),
+        (3, 3),
+    ),
+    "unreachable-margins": FiberSpec(
+        ConstraintMatrix([[2, 2, 0, 0], [0, 0, 2, 2], [2, 0, 2, 0], [0, 2, 0, 2]]),
+        (3, 3, 3, 3),
+        (),
+        (2, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_enumeration_matches_brute_force(name):
+    spec = ORACLE_SPECS[name]
+    oracle = brute_force_fiber(spec)
+    assert (name == "unreachable-margins") == (not oracle)
+    assert [u.cells for u in enumerate_fiber(spec)] == oracle
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=12, max_size=12),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4),
+    st.sets(st.integers(min_value=0, max_value=3), max_size=2),
+)
+def test_enumeration_matches_brute_force_on_random_matrices(entries, cells, zeros):
+    rows = [entries[0:4], entries[4:8], entries[8:12]]
+    for j in range(4):
+        if not any(r[j] for r in rows):
+            rows[j % 3][j] = 1 + j % 2
+    cells = [0 if j in zeros else c for j, c in enumerate(cells)]
+    A = ConstraintMatrix(rows)
+    spec = FiberSpec(A, margins(A, Table(tuple(cells), (2, 2))), tuple(zeros), (2, 2))
+    assert [u.cells for u in enumerate_fiber(spec)] == brute_force_fiber(spec)
+
+
+@pytest.mark.parametrize("b, size", [((0, 0, 0, 0), 1), ((0, 1, 0, 1), 0)])
+def test_all_structural_zeros(b, size):
+    spec = FiberSpec(
+        ConstraintMatrix([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]),
+        b,
+        (0, 1, 2, 3),
+        (2, 2),
+    )
+    enum = enumerate_fiber(spec)
+    assert enum.complete
+    assert [u.cells for u in enum] == [(0, 0, 0, 0)] * size
+    assert fiber_size(spec) == size
