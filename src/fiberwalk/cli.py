@@ -23,7 +23,7 @@ from pathlib import Path
 from .bench import conditional_test, export_results, parse_config, run_evaluation
 from .dpll import projected_models
 from .encode import encode_fiber, parse_dimacs, write_layout
-from .enumeration import enumerate_fiber
+from .enumeration import FiberTooLarge, enumerate_fiber, fiber_size
 from .models import (
     FiberSpec,
     Independence,
@@ -194,6 +194,13 @@ def cmd_encode(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.cnf:
+        given = [f"--{name}" for name in ("table", "shape", "margins", "zeros")
+                 if getattr(args, name)]
+        if given:
+            raise ValueError(
+                f"{', '.join(given)} cannot be combined with --cnf: "
+                "the fiber comes from the DIMACS file"
+            )
         with open(args.cnf) as f:
             num_vars, clauses, sampling = parse_dimacs(f)
         models = projected_models(num_vars, clauses, sampling or range(1, num_vars + 1))
@@ -201,12 +208,18 @@ def cmd_enumerate(args) -> int:
         count, complete = min(found, args.cap), found <= args.cap
     else:
         spec, _ = _build_spec(args)
-        enum = enumerate_fiber(spec, cap=args.cap)
-        if not args.count_only:
+        if args.count_only:
+            # count without holding the fiber in memory
+            try:
+                count, complete = fiber_size(spec, cap=args.cap), True
+            except FiberTooLarge:
+                count, complete = args.cap, False
+        else:
+            enum = enumerate_fiber(spec, cap=args.cap)
             for u in enum:
                 write_table(u, sys.stdout)
                 print()
-        count, complete = len(enum), enum.complete
+            count, complete = len(enum), enum.complete
     marker = "" if complete else " (incomplete: cap reached)"
     print(f"count: {count}{marker}")
     return 0

@@ -1,15 +1,17 @@
 """Exhaustive fiber enumeration: the brute-force oracle.
 
 Cells are assigned in flat (row-major) order by depth-first
-backtracking.  At each cell the value range is clipped from above by
-every constraint row covering the cell (value <= residual /
-coefficient) and from below by how much the remaining cells can still
-contribute to each residual.  The order is deterministic, so
-enumerations are reproducible and diffable.
+backtracking, each over its values in ascending order, so elements come
+in lexicographic order of their flat cells.  At each cell the value
+range is clipped from above by every constraint row covering the cell
+(value <= residual / coefficient) and from below by how much the
+remaining cells can still contribute to each residual.  The search
+does its arithmetic on plain Python ints in one generator frame.
 
 Exceeding the element cap marks the enumeration incomplete instead of
-aborting; operations that need the whole fiber (exact p-values, sizes)
-refuse incomplete enumerations explicitly.
+aborting, keeping the first ``cap`` elements in that order; operations
+that need the whole fiber (exact p-values, sizes) refuse incomplete
+enumerations explicitly.
 
 This module is the ground-truth side of the encoder bijection checks
 and of every sampled-vs-exact comparison; it must stay independent of
@@ -21,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TextIO
-
-import numpy as np
 
 from .models import FiberSpec, Table, write_table
 
@@ -72,58 +72,78 @@ class FiberEnumeration:
 
 
 def _iter_fiber(spec: FiberSpec) -> Iterator[Table]:
-    """Yield fiber elements in deterministic DFS order."""
+    """Yield fiber elements in lexicographic order of their flat cells."""
     A = spec.matrix.entries
+    b = spec.margins
     zeros = spec.zero_set()
     order = [j for j in range(spec.d) if j not in zeros]
     m = len(order)
-    rows = A.shape[0]
-    residual = np.asarray(spec.margins, dtype=np.int64).copy()
-    coef = A[:, order] if m else A[:, :0]
+    terms = [
+        tuple((i, int(A[i, j])) for i in spec.matrix.col_support[j]) for j in order
+    ]
 
     # per-cell cap from the original margins: min over covering rows of
     # b_i // A_ij (sound at every node since residuals only shrink)
-    root_cap = np.empty(m, dtype=np.int64)
-    for t, j in enumerate(order):
-        caps = [spec.margins[i] // int(A[i, j]) for i in spec.matrix.col_support[j]]
-        root_cap[t] = min(caps) if caps else 0
+    root_cap = [min((b[i] // a for i, a in ts), default=0) for ts in terms]
 
-    # remaining_contrib[t][i] = max total the cells order[t:] can add to
-    # constraint i; used for the lower bound at each node
-    remaining_contrib = np.zeros((m + 1, rows), dtype=np.int64)
+    # bounds[t] holds (i, A_ij, remaining_contrib) for each row i covering
+    # cell order[t], where remaining_contrib is the max total the cells
+    # order[t+1:] can add to constraint i; it gives the lower bound
+    remaining_contrib = [0] * len(b)
+    bounds: list[tuple[tuple[int, int, int], ...]] = [()] * m
     for t in range(m - 1, -1, -1):
-        remaining_contrib[t] = remaining_contrib[t + 1] + coef[:, t] * root_cap[t]
+        bounds[t] = tuple((i, a, remaining_contrib[i]) for i, a in terms[t])
+        for i, a in terms[t]:
+            remaining_contrib[i] += a * root_cap[t]
 
-    values = np.zeros(spec.d, dtype=np.int64)
-
-    def rec(t: int):
-        if t == m:
-            if not residual.any():
-                yield Table(cells=tuple(int(v) for v in values), shape=spec.shape)
+    residual = list(b)
+    values = [0] * spec.d
+    vmaxes = [0] * m
+    t = 0
+    while True:
+        # descend from depth t, giving each cell its smallest feasible value
+        while t < m:
+            vmax = root_cap[t]
+            vmin = 0
+            for i, a, rem in bounds[t]:
+                r = residual[i]
+                q = r // a
+                if q < vmax:
+                    vmax = q
+                need = r - rem
+                if need > 0:
+                    lo = -(-need // a)  # ceil division
+                    if lo > vmin:
+                        vmin = lo
+            if vmin > vmax:
+                break
+            values[order[t]] = vmin
+            if vmin:
+                for i, a, _ in bounds[t]:
+                    residual[i] -= a * vmin
+            vmaxes[t] = vmax
+            t += 1
+        else:
+            if not any(residual):
+                yield Table(cells=tuple(values), shape=spec.shape)
+        # back up to the deepest cell still below its upper bound, step it
+        t -= 1
+        while t >= 0:
+            j = order[t]
+            v = values[j]
+            if v < vmaxes[t]:
+                values[j] = v + 1
+                for i, a, _ in bounds[t]:
+                    residual[i] -= a
+                break
+            if v:
+                for i, a, _ in bounds[t]:
+                    residual[i] += a * v
+                values[j] = 0
+            t -= 1
+        if t < 0:
             return
-        j = order[t]
-        support = spec.matrix.col_support[j]
-        vmax = int(root_cap[t])
-        vmin = 0
-        rem_next = remaining_contrib[t + 1]
-        for i in support:
-            a = int(A[i, j])
-            vmax = min(vmax, int(residual[i]) // a)
-            need = int(residual[i]) - int(rem_next[i])
-            if need > 0:
-                vmin = max(vmin, -(-need // a))  # ceil division
-        if vmin > vmax:
-            return
-        for v in range(vmin, vmax + 1):
-            values[j] = v
-            for i in support:
-                residual[i] -= A[i, j] * v
-            yield from rec(t + 1)
-            for i in support:
-                residual[i] += A[i, j] * v
-        values[j] = 0
-
-    yield from rec(0)
+        t += 1
 
 
 def enumerate_fiber(spec: FiberSpec, cap: int = DEFAULT_CAP) -> FiberEnumeration:

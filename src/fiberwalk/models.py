@@ -73,8 +73,8 @@ class Table:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
+        object.__setattr__(self, "cells", tuple(map(int, self.cells)))
+        object.__setattr__(self, "shape", tuple(map(int, self.shape)))
         d = 1
         for s in self.shape:
             if s < 1:
@@ -84,7 +84,7 @@ class Table:
             raise ValueError(
                 f"shape {self.shape} implies {d} cells, got {len(self.cells)}"
             )
-        if any(c < 0 for c in self.cells):
+        if min(self.cells) < 0:
             raise ValueError("table cells must be nonnegative")
 
     @property

@@ -6,8 +6,14 @@ as SystemExit from argparse, so the tests route everything through a
 small wrapper.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import fiberwalk.cli
 from fiberwalk.cli import main
 
 
@@ -339,3 +345,68 @@ def test_margins_with_table_is_an_error(command, extra, readme_table, tmp_path, 
     captured = capsys.readouterr()
     assert "--margins cannot be combined with --table" in captured.err
     assert "count:" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--table", "obs.tbl"], "--table"),
+        (["--shape", "7", "7"], "--shape"),
+        (["--margins", "1", "2"], "--margins"),
+        (["--zeros", "0,0"], "--zeros"),
+        (
+            ["--table", "obs.tbl", "--margins", "1", "2", "--shape", "7", "7", "--zeros", "0,0"],
+            "--table, --shape, --margins, --zeros",
+        ),
+    ],
+)
+def test_enumerate_cnf_rejects_fiber_flags(flags, named, tmp_path, table_file, capsys):
+    run_cli("encode", "--table", table_file, "--out", str(tmp_path / "fiber"))
+    capsys.readouterr()
+    code = run_cli("enumerate", "--cnf", str(tmp_path / "fiber.cnf"), *flags, "--count-only")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"{named} cannot be combined with --cnf" in captured.err
+    assert "the fiber comes from the DIMACS file" in captured.err
+    assert "count:" not in captured.out
+    # an empty --zeros names no cell and is allowed
+    assert run_cli("enumerate", "--cnf", str(tmp_path / "fiber.cnf"), "--zeros") == 0
+    assert capsys.readouterr().out == "count: 3\n"
+
+
+@pytest.mark.parametrize(
+    "cap, want",
+    [
+        ([], "count: 55\n"),
+        (["--cap", "55"], "count: 55\n"),
+        (["--cap", "54"], "count: 54 (incomplete: cap reached)\n"),
+        (["--cap", "0"], "count: 0 (incomplete: cap reached)\n"),
+    ],
+)
+def test_enumerate_count_only_streams(cap, want, readme_table, monkeypatch, capsys):
+    """--count-only prints the listing's count line without holding the
+    fiber: it never calls enumerate_fiber."""
+    assert run_cli("enumerate", "--table", readme_table, *cap) == 0
+    assert capsys.readouterr().out.splitlines(keepends=True)[-1] == want
+
+    def held(*args, **kwargs):
+        raise AssertionError("--count-only built the whole enumeration")
+
+    monkeypatch.setattr(fiberwalk.cli, "enumerate_fiber", held)
+    assert run_cli("enumerate", "--table", readme_table, "--count-only", *cap) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_python_m_fiberwalk(readme_table):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "fiberwalk", "enumerate", "--table", readme_table, "--count-only"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "count: 55\n", "")
+    done = subprocess.run(
+        [sys.executable, "-m", "fiberwalk", "frobnicate"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
