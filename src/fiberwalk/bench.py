@@ -296,7 +296,9 @@ def conditional_test(
     steps under ``schedule`` with the moves from ``move_source`` and
     the configured sampler."""
     fit = fit_loglinear(spec.matrix, u_obs, zeros=spec.structural_zeros)
-    stat = ChiSquare(fit.pi, u_obs.n, spec.structural_zeros)
+    # a zero margin pins its cells to 0 in the fit and in every fiber
+    # element, so they leave the statistic like structural zeros
+    stat = ChiSquare(fit.pi, u_obs.n, spec.forced_zeros())
     enum = enumerate_fiber(spec, cap=exact_cap)
     exact = exact_p_from_enumeration(enum, stat(u_obs.cells), stat) if enum.complete else None
     moves = build_moves(move_source, spec, move_path)

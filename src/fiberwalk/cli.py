@@ -23,7 +23,7 @@ from pathlib import Path
 from .bench import conditional_test, export_results, parse_config, run_evaluation
 from .dpll import projected_models
 from .encode import encode_fiber, parse_dimacs, write_layout
-from .enumeration import FiberTooLarge, enumerate_fiber, fiber_size
+from .enumeration import enumerate_fiber, iter_fiber
 from .models import (
     FiberSpec,
     Independence,
@@ -203,23 +203,19 @@ def cmd_enumerate(args) -> int:
             )
         with open(args.cnf) as f:
             num_vars, clauses, sampling = parse_dimacs(f)
-        models = projected_models(num_vars, clauses, sampling or range(1, num_vars + 1))
-        found = sum(1 for _ in itertools.islice(models, args.cap + 1))
-        count, complete = min(found, args.cap), found <= args.cap
+        elements = projected_models(num_vars, clauses, sampling or range(1, num_vars + 1))
     else:
         spec, _ = _build_spec(args)
-        if args.count_only:
-            # count without holding the fiber in memory
-            try:
-                count, complete = fiber_size(spec, cap=args.cap), True
-            except FiberTooLarge:
-                count, complete = args.cap, False
-        else:
-            enum = enumerate_fiber(spec, cap=args.cap)
-            for u in enum:
-                write_table(u, sys.stdout)
-                print()
-            count, complete = len(enum), enum.complete
+        elements = iter_fiber(spec)
+    # stream: nothing is held beyond the element being printed
+    listing = not (args.cnf or args.count_only)
+    found = 0
+    for element in itertools.islice(elements, args.cap + 1):
+        found += 1
+        if listing and found <= args.cap:
+            write_table(element, sys.stdout)
+            print()
+    count, complete = min(found, args.cap), found <= args.cap
     marker = "" if complete else " (incomplete: cap reached)"
     print(f"count: {count}{marker}")
     return 0

@@ -13,6 +13,13 @@ aborting, keeping the first ``cap`` elements in that order; operations
 that need the whole fiber (exact p-values, sizes) refuse incomplete
 enumerations explicitly.
 
+A fiber element is a hit when its statistic is at least
+``hit_cut(observed)``, the observed value less a relative 1e-7 (the
+tolerance R's ``fisher.test`` uses): tables whose statistic equals the
+observed one in exact arithmetic, say by a row permutation, can differ
+from it in the last bits of floating point and still count.  The walk
+uses the same rule.
+
 This module is the ground-truth side of the encoder bijection checks
 and of every sampled-vs-exact comparison; it must stay independent of
 the CNF encoder and the walker.
@@ -29,15 +36,20 @@ from .models import FiberSpec, Table, write_table
 __all__ = [
     "FiberEnumeration",
     "enumerate_fiber",
+    "iter_fiber",
     "fiber_size",
     "FiberTooLarge",
     "log_rho_unnormalized",
+    "hit_cut",
     "exact_p_value",
     "exact_p_from_enumeration",
     "write_enumeration",
 ]
 
 DEFAULT_CAP = 10_000_000
+
+# relative tie tolerance of the hit rule, as in R's fisher.test
+TIE_TOLERANCE = 1e-7
 
 
 class FiberTooLarge(Exception):
@@ -71,7 +83,7 @@ class FiberEnumeration:
         return self
 
 
-def _iter_fiber(spec: FiberSpec) -> Iterator[Table]:
+def iter_fiber(spec: FiberSpec) -> Iterator[Table]:
     """Yield fiber elements in lexicographic order of their flat cells."""
     A = spec.matrix.entries
     b = spec.margins
@@ -151,7 +163,7 @@ def enumerate_fiber(spec: FiberSpec, cap: int = DEFAULT_CAP) -> FiberEnumeration
     incomplete (rather than raising) when more exist."""
     elements: list[Table] = []
     complete = True
-    for u in _iter_fiber(spec):
+    for u in iter_fiber(spec):
         if len(elements) >= cap:
             complete = False
             break
@@ -163,7 +175,7 @@ def fiber_size(spec: FiberSpec, cap: int = DEFAULT_CAP) -> int:
     """Exact number of fiber elements; raises :class:`FiberTooLarge`
     past the cap."""
     count = 0
-    for _ in _iter_fiber(spec):
+    for _ in iter_fiber(spec):
         count += 1
         if count > cap:
             raise FiberTooLarge(f"fiber exceeds cap of {cap} elements")
@@ -174,6 +186,13 @@ def log_rho_unnormalized(u: Table | Sequence[int]) -> float:
     """log of the target weight: -sum_i log(u_i!)."""
     cells = u.cells if isinstance(u, Table) else u
     return -sum(math.lgamma(c + 1) for c in cells)
+
+
+def hit_cut(observed: float) -> float:
+    """The cut of the hit rule: a table is a hit when its statistic is
+    at least ``observed - TIE_TOLERANCE * |observed|``, so tables tied
+    with the observed one up to rounding count as hits."""
+    return observed - TIE_TOLERANCE * abs(observed)
 
 
 def exact_p_from_enumeration(
@@ -187,6 +206,7 @@ def exact_p_from_enumeration(
     enum.require_complete()
     if not enum.elements:
         raise ValueError("empty fiber")
+    cut = hit_cut(stat_threshold)
     log_ws = [log_rho_unnormalized(u) for u in enum.elements]
     m = max(log_ws)
     total_terms = []
@@ -194,7 +214,7 @@ def exact_p_from_enumeration(
     for u, lw in zip(enum.elements, log_ws):
         w = math.exp(lw - m)
         total_terms.append(w)
-        if stat(u.cells) >= stat_threshold:
+        if stat(u.cells) >= cut:
             hit_terms.append(w)
     return math.fsum(hit_terms) / math.fsum(total_terms)
 
@@ -206,7 +226,8 @@ def exact_p_value(
     cap: int = DEFAULT_CAP,
 ) -> float:
     """Exact conditional p-value: the rho-weighted share of fiber
-    elements with stat >= threshold.  Refuses incomplete enumerations."""
+    elements that are hits (stat >= ``hit_cut(threshold)``).  Refuses
+    incomplete enumerations."""
     return exact_p_from_enumeration(enumerate_fiber(spec, cap=cap), stat_threshold, stat)
 
 

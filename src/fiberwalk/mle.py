@@ -6,13 +6,24 @@ so the log-likelihood of a table u with n = sum(u) is
     l(theta) = sum_i u_i log pi_theta(i),
     grad l   = A (u - n pi_theta).
 
-Fitting runs a limited-memory quasi-Newton ascent and monitors the
-margin discrepancy ||A(u - n pi)||_2: convergence is declared when it
-drops below tol * n, and the step size is halved whenever the
-discrepancy has not improved for a stretch of iterations.  For the
-complete independence model the fitted cell probabilities also have the
-closed form (product of marginal proportions), kept here as the
-cross-check route.
+The MLE is the distribution whose fitted margins A(n pi) equal the
+observed ones, b = A u.  :func:`fit_loglinear` finds it by iterative
+proportional fitting (Deming & Stephan 1940): starting from a constant
+on the free cells, each sweep rescales the cells of every constraint
+row in turn so that the row's fitted margin equals b_i.  Every model
+here has a 0/1 constraint matrix, which is what IPF needs.  The fit
+stops once the margin discrepancy ||A(n pi) - b||_2 is at most
+``TOLERANCE * n``, or after ``MAX_SWEEPS`` sweeps with
+``converged=False``.
+
+A row with b_i = 0 pins every cell it covers to exactly 0, and those
+cells stay 0.  When the observed table has sampling zeros in the wrong
+places (some n3f tables) the MLE does not exist: the fitted values
+tend to 0 on cells the margins do not force to 0, IPF converges only
+sublinearly and stops at the sweep cap, reporting ``converged=False``.
+For the complete independence model the fitted cell probabilities also
+have the closed form (product of marginal proportions), which one
+sweep reproduces; it is kept here as the cross-check route.
 """
 
 from __future__ import annotations
@@ -34,7 +45,9 @@ __all__ = [
     "ChiSquare",
 ]
 
-PATIENCE = 20
+# the stopping rule of fit_loglinear
+TOLERANCE = 1e-12
+MAX_SWEEPS = 1000
 
 
 def _free_cells(d: int, zeros: Iterable[int]) -> np.ndarray:
@@ -75,12 +88,14 @@ def score(theta, matrix: ConstraintMatrix, u: Table, zeros: Sequence[int] = ()) 
 
 @dataclass(frozen=True)
 class FitResult:
-    theta: np.ndarray
+    """Fitted cell probabilities (zero on structural zeros and on cells
+    pinned by a zero margin), the number of IPF sweeps, and the final
+    margin discrepancy ||A(n pi) - b||_2."""
+
     pi: np.ndarray
     iterations: int
     discrepancy: float
     converged: bool
-    discrepancy_history: tuple[float, ...]
 
     def report(self) -> str:
         """Small text report for benchmark logs."""
@@ -91,115 +106,45 @@ class FitResult:
         )
 
 
-def fit_loglinear(
-    matrix: ConstraintMatrix,
-    u: Table,
-    zeros: Sequence[int] = (),
-    tol: float = 1e-6,
-    max_iter: int = 5000,
-    memory: int = 10,
-    step: float = 1.0,
-) -> FitResult:
-    """Fit cell probabilities by quasi-Newton ascent on the likelihood.
+def fit_loglinear(matrix: ConstraintMatrix, u: Table, zeros: Sequence[int] = ()) -> FitResult:
+    """Fit cell probabilities by iterative proportional fitting.
 
-    Returns the fitted probabilities (zero on structural zeros) and the
-    monitoring trace.  ``converged`` is False when the margin
-    discrepancy never reached ``tol * n`` within ``max_iter`` steps.
+    Returns the fitted probabilities (zero on structural zeros) after
+    the first sweep that brings the margin discrepancy to at most
+    ``TOLERANCE * n``; ``converged`` is False when ``MAX_SWEEPS``
+    sweeps did not.  Raises ValueError unless every matrix entry is 0
+    or 1.
     """
-    A = matrix.entries.astype(float)
+    A = matrix.entries
+    if ((A != 0) & (A != 1)).any():
+        raise ValueError("iterative proportional fitting needs a 0/1 constraint matrix")
     free = _free_cells(matrix.cols, zeros)
     if free.size == 0:
         raise ValueError("every cell is a structural zero")
-    for s in set(zeros):
+    zero_set = set(zeros)
+    for s in zero_set:
         if u.cells[s] != 0:
             raise ValueError(f"table is nonzero at structural zero cell {s}")
     n = u.n
     if n == 0:
         raise ValueError("cannot fit an all-zero table")
-    cells = np.asarray(u.cells, dtype=float)
 
-    theta = np.zeros(matrix.rows)
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    history: list[float] = []
-
-    positive = cells > 0
-
-    def eval_at(th):
-        pi = _cell_probs(th, A, free)
-        g = A @ (cells - n * pi)
-        ll = float(cells[positive] @ np.log(np.maximum(pi[positive], 1e-300)))
-        return ll, g, pi
-
-    ll, g, pi = eval_at(theta)
-    best = math.inf
-    stall = 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        disc = float(np.linalg.norm(g))
-        history.append(disc)
-        if disc <= tol * n:
-            return FitResult(theta, pi, it - 1, disc, True, tuple(history))
-        if disc < best - 1e-15:
-            best = disc
-            stall = 0
-        else:
-            stall += 1
-            if stall >= PATIENCE:
-                step *= 0.5
-                stall = 0
-
-        # two-loop recursion on the stored (s, y) pairs; direction is
-        # an ascent direction because we negate twice (maximize)
-        q = g.copy()
-        alphas = []
-        for si, yi in zip(reversed(s_hist), reversed(y_hist)):
-            rho = 1.0 / (yi @ si)
-            a = rho * (si @ q)
-            alphas.append(a)
-            q -= a * yi
-        if y_hist:
-            yy = y_hist[-1] @ y_hist[-1]
-            if yy > 0:
-                q *= (s_hist[-1] @ y_hist[-1]) / yy
-        for (si, yi), a in zip(zip(s_hist, y_hist), reversed(alphas)):
-            rho = 1.0 / (yi @ si)
-            b = rho * (yi @ q)
-            q += (a - b) * si
-        direction = q
-        dg = float(direction @ g)
-        if not math.isfinite(dg) or dg <= 0:
-            direction = g.copy()
-
-        # halve the trial step until the likelihood stops decreasing
-        trial = step
-        accepted = False
-        for _ in range(40):
-            theta_new = theta + trial * direction
-            ll_new, g_new, pi_new = eval_at(theta_new)
-            if ll_new >= ll:
-                accepted = True
-                break
-            trial *= 0.5
-        if not accepted:
-            s_hist.clear()
-            y_hist.clear()
-            step *= 0.5
-            continue
-
-        s_vec = theta_new - theta
-        y_vec = g - g_new  # gradient decrease along ascent keeps curvature positive
-        if (s_vec @ y_vec) > 1e-12:
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            if len(s_hist) > memory:
-                s_hist.pop(0)
-                y_hist.pop(0)
-        theta, g, pi, ll = theta_new, g_new, pi_new, ll_new
-
-    disc = float(np.linalg.norm(g))
-    history.append(disc)
-    return FitResult(theta, pi, it, disc, disc <= tol * n, tuple(history))
+    targets = A @ np.asarray(u.cells, dtype=float)
+    rows = [
+        (np.array([j for j in support if j not in zero_set], dtype=np.intp), target)
+        for support, target in zip(matrix.row_support, targets)
+    ]
+    fitted = np.zeros(matrix.cols)
+    fitted[free] = n / free.size
+    for sweep in range(1, MAX_SWEEPS + 1):
+        for cells, target in rows:
+            current = fitted[cells].sum()
+            fitted[cells] *= target / current if target else 0.0
+        discrepancy = float(np.linalg.norm(A @ fitted - targets))
+        converged = discrepancy <= TOLERANCE * n
+        if converged:
+            break
+    return FitResult(fitted / n, sweep, discrepancy, converged)
 
 
 def independence_fitted(u: Table) -> np.ndarray:

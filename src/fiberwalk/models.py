@@ -194,6 +194,12 @@ class FiberSpec:
     def zero_set(self) -> frozenset[int]:
         return frozenset(self.structural_zeros)
 
+    def forced_zeros(self) -> frozenset[int]:
+        """Cells that are 0 in every fiber element: the structural zeros
+        and every cell a zero margin covers."""
+        pinned = (self.matrix.row_support[i] for i, b in enumerate(self.margins) if b == 0)
+        return self.zero_set().union(*pinned)
+
     def contains(self, u: Table) -> bool:
         """Membership check: A u = b and u zero on S."""
         if u.shape != self.shape:

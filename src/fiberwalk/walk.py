@@ -9,8 +9,11 @@ assumed-uniform law, so both step kinds share one acceptance ratio:
     r(u, v) = min{1, prod_i u_i! / v_i!}
 
 evaluated in log-gamma space.  Every step appends the running p-value
-estimate p_i = hits/i, where a hit is a state with statistic at least
-the observed one.
+estimate p_i = hits/i, where a hit is a state whose statistic is at
+least ``hit_cut(observed)``: the observed value less a relative 1e-7,
+the rule exact enumeration uses, so states tied with the observed
+table up to rounding count as hits.  The cut is computed once per run;
+``RunRecord.threshold`` keeps the observed value.
 
 Schedules: MovesOnly, SatOnly, Alternating(n) (step t is a SAT-step
 iff t mod n = 0) and ParallelStarts(n, k) (k sub-walks started from k
@@ -29,7 +32,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .encode import CNFEncoding, encode_fiber
-from .enumeration import enumerate_fiber, log_rho_unnormalized
+from .enumeration import enumerate_fiber, hit_cut, log_rho_unnormalized
 from .models import FiberSpec, Table
 from .moves import MoveSet
 from .sampling import FiberSampler, SamplerError, make_rng
@@ -178,6 +181,7 @@ class _Recorder:
         "i",
         "stat",
         "threshold",
+        "cut",
         "hit_cache",
         "counts",
     )
@@ -190,13 +194,14 @@ class _Recorder:
         self.i = 0
         self.stat = stat
         self.threshold = threshold
+        self.cut = hit_cut(threshold)
         self.hit_cache: dict[tuple[int, ...], int] = {}
         self.counts: dict[tuple[int, ...], int] | None = {} if count_states else None
 
     def record(self, accepted: bool, kind: int, cur_t: tuple[int, ...]) -> None:
         hit = self.hit_cache.get(cur_t)
         if hit is None:
-            hit = 1 if self.stat(cur_t) >= self.threshold else 0
+            hit = 1 if self.stat(cur_t) >= self.cut else 0
             self.hit_cache[cur_t] = hit
         i = self.i
         self.hits += hit

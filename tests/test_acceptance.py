@@ -177,7 +177,7 @@ def test_criterion_03_exact_p_agreement():
     stat = ChiSquare(fit.pi, u.n, spec.structural_zeros)
     exact = exact_p_value(spec, stat(u.cells), stat)
     # frozen reference, computed once from the full enumeration
-    assert exact == pytest.approx(0.2489991993594877, abs=1e-9)
+    assert exact == pytest.approx(0.28476114224713117, abs=1e-9)
 
     moves = cycle_moves((5, 5), spec.zero_set())
     sampler = InternalUniformSampler()

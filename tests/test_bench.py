@@ -265,11 +265,11 @@ GOLDEN_EXPORTS = {
         "runs = 3\nsteps = 400\nseed = 4\n"
         "[schedule]\nkind = alternating\nperiod = 5\n",
         {
-            "plot.svg": "d093029a43e5552dc0cf631ef38589c75ab91f5b9ae793466cf8733a4c2ea7c5",
+            "plot.svg": "8115c2395bc43e3f2e57c6f929ff7a1bdbe61ac314747d7732f8019edb9ad846",
             "run_001.csv": "c2d60d707bbe47629fb2a802463b9edeadf296d8c07578d57f9d92a8d53dd3cf",
             "run_002.csv": "ecf72ac79985ee7e0899456372bf83988c247636cdd4a433d67ffda5b6f41561",
             "run_003.csv": "c3b67c723a84e9c6c0dc67e9e4ede42a5379a687f0f470ce9dd80ba3aba88b8c",
-            "summary.csv": "b368a7b4790797c7b5b2f5c60f08922f706b695cbe628a3bc52f8bd5654aa222",
+            "summary.csv": "5495a750575c624c0184527496943ef807d4c8585025c25dd737dbe1a4bdcbd5",
         },
     ),
     "quasi-cycle-parallel-biased": (
@@ -279,11 +279,11 @@ GOLDEN_EXPORTS = {
         "[sampler]\nkind = internal-biased\nbias_strength = 0.5\n"
         "[moves]\nsource = cycle\n",
         {
-            "plot.svg": "2b5281310d5cf0c8631454e51cf9a87ad2247201fb374ff2fc7da6d04f665a43",
+            "plot.svg": "a9a353ae50fa2a9afa66f0450e348c048f44a44d4f2ffef6b3093706f4c2bf7e",
             "run_001.csv": "379a84b9ae5683a127ee7c4db86002001e1cdf75876a2ba47004d5bbac3dda68",
-            "run_002.csv": "7553daf05bcd888b3ff722a06812b95fc94a2f608abcd5c3de9768fea38a8cd1",
-            "run_003.csv": "1edc7a80c3a32c1d789fd2e4ebe383a659c176ebb0a3360e5d3d82ca63671389",
-            "summary.csv": "59c377d1ca7e089e1181f479b2032ca4e4d1852a6ca73c9c6087765eec4ded69",
+            "run_002.csv": "868bd3e51f471c1809fd4b236011a5941afc02d48b3ff48194064cb9da126fea",
+            "run_003.csv": "8116cca06607104e9e604b13eed96da11426709558e3d886ee128b4465e6b938",
+            "summary.csv": "28fca2084b6539122fd53d42010091bf9ca7d854928c705607a4e8679dd9a133",
         },
     ),
     "n3f-sat-only": (

@@ -6,6 +6,7 @@ as SystemExit from argparse, so the tests route everything through a
 small wrapper.
 """
 
+import io
 import os
 import pathlib
 import subprocess
@@ -15,6 +16,8 @@ import pytest
 
 import fiberwalk.cli
 from fiberwalk.cli import main
+from fiberwalk.enumeration import enumerate_fiber
+from fiberwalk.models import Independence, fiber_spec_from_observation, read_table, write_table
 
 
 def run_cli(*argv):
@@ -304,13 +307,13 @@ def test_diagnose_enumerates_once_besides_the_sampler(
     import fiberwalk.enumeration as enumeration
 
     calls = []
-    original = enumeration._iter_fiber
+    original = enumeration.iter_fiber
 
     def counting(spec):
         calls.append(spec)
         return original(spec)
 
-    monkeypatch.setattr(enumeration, "_iter_fiber", counting)
+    monkeypatch.setattr(enumeration, "iter_fiber", counting)
     code = run_cli("diagnose", "--table", readme_table, "--draws", "100")
     assert code == 0
     assert "fiber size: 55" in capsys.readouterr().out
@@ -395,6 +398,29 @@ def test_enumerate_count_only_streams(cap, want, readme_table, monkeypatch, caps
     monkeypatch.setattr(fiberwalk.cli, "enumerate_fiber", held)
     assert run_cli("enumerate", "--table", readme_table, "--count-only", *cap) == 0
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("cap", [[], ["--cap", "55"], ["--cap", "54"], ["--cap", "0"]])
+def test_enumerate_listing_streams(cap, readme_table, monkeypatch, capsys):
+    """The listing prints each table as it is generated: it never
+    calls enumerate_fiber, and its bytes are the enumeration's."""
+    with open(readme_table) as f:
+        u, _ = read_table(f)
+    enum = enumerate_fiber(fiber_spec_from_observation(Independence((3, 3)), u),
+                           cap=int(cap[1]) if cap else 10_000_000)
+    want = io.StringIO()
+    for v in enum:
+        write_table(v, want)
+        want.write("\n")
+    marker = "" if enum.complete else " (incomplete: cap reached)"
+    want.write(f"count: {len(enum)}{marker}\n")
+
+    def held(*args, **kwargs):
+        raise AssertionError("the listing built the whole enumeration")
+
+    monkeypatch.setattr(fiberwalk.cli, "enumerate_fiber", held)
+    assert run_cli("enumerate", "--table", readme_table, *cap) == 0
+    assert capsys.readouterr().out == want.getvalue()
 
 
 def test_python_m_fiberwalk(readme_table):

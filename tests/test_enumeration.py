@@ -5,16 +5,18 @@ interval in its free cell, unit-margin permutation fibers count n!,
 and diagonal structural zeros on a 3x3 unit-margin table leave the
 two 3-cycles.  The exact conditional p-value is the rho-weighted
 share of the fiber at or above the observed statistic, with
-rho(u) proportional to 1/prod(u_ij!).
+rho(u) proportional to 1/prod(u_ij!); tables tied with the observed one
+count, which a rational-arithmetic oracle checks.
 """
 
 import hashlib
 import io
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fiberwalk.enumeration import (
     FiberTooLarge,
@@ -22,9 +24,11 @@ from fiberwalk.enumeration import (
     exact_p_from_enumeration,
     exact_p_value,
     fiber_size,
+    hit_cut,
     log_rho_unnormalized,
     write_enumeration,
 )
+from fiberwalk.mle import ChiSquare, fit_loglinear
 from fiberwalk.models import (
     ConstraintMatrix,
     FiberSpec,
@@ -34,6 +38,7 @@ from fiberwalk.models import (
     Table,
     fiber_spec_from_observation,
     margins,
+    model_matrix,
 )
 
 
@@ -297,3 +302,75 @@ def test_all_structural_zeros(b, size):
     assert enum.complete
     assert [u.cells for u in enum] == [(0, 0, 0, 0)] * size
     assert fiber_size(spec) == size
+
+
+def rational_exact_p(spec, u):
+    """Exact p-value of a two-way independence table in rational
+    arithmetic, from the closed-form MLE pi_ij = r_i c_j / n^2.
+
+    There X(v) = sum_ij v_ij^2 / (r_i c_j) - 1, so hits compare the
+    integers sum_ij v_ij^2 * L / (r_i c_j) for L = lcm(r_i c_j), and
+    rho(v) is proportional to the integer n! / prod v_ij!.
+    """
+    r, c = u.shape
+    n = u.n
+    rows = [sum(u.cells[i * c:(i + 1) * c]) for i in range(r)]
+    cols = [sum(u.cells[j::c]) for j in range(c)]
+    pi = [Fraction(rows[i] * cols[j], n * n) for i in range(r) for j in range(c)]
+    lcm = math.lcm(*(rows[i] * cols[j] for i in range(r) for j in range(c)))
+    scale = [lcm // (rows[i] * cols[j]) for i in range(r) for j in range(c)]
+
+    def key(cells):
+        return sum(k * v * v for k, v in zip(scale, cells))
+
+    # the identity, checked on the observed table
+    literal = sum((Fraction(v, n) - p) ** 2 / p for v, p in zip(u.cells, pi))
+    assert literal == Fraction(key(u.cells), lcm) - 1
+    observed = key(u.cells)
+    hit = total = 0
+    for v in enumerate_fiber(spec):
+        w = math.factorial(n) // math.prod(math.factorial(x) for x in v.cells)
+        total += w
+        if key(v.cells) >= observed:
+            hit += w
+    return Fraction(hit, total)
+
+
+def fitted_exact_p(u):
+    """exact_p_value with the statistic of the fitted MLE."""
+    spec = fiber_spec_from_observation(Independence(u.shape), u)
+    fit = fit_loglinear(model_matrix(Independence(u.shape)), u)
+    stat = ChiSquare(fit.pi, u.n)
+    return spec, exact_p_value(spec, stat(u.cells), stat)
+
+
+def test_hit_cut_is_relative():
+    assert hit_cut(0.0) == 0.0
+    assert hit_cut(2.0) == 2.0 - 2e-7
+    assert hit_cut(2.0) < 2.0 * (1 - 1e-9)
+
+
+def test_row_permutation_tie_counts_as_hit():
+    """Rows 0 and 1 share the margin 4, so swapping them gives a second
+    table whose statistic equals the observed one exactly."""
+    u = Table((3, 0, 1, 0, 1, 3, 0, 1, 1), (3, 3))
+    swapped = Table((0, 1, 3, 3, 0, 1, 0, 1, 1), (3, 3))
+    spec, p = fitted_exact_p(u)
+    assert spec.contains(swapped)
+    assert abs(p - rational_exact_p(spec, u)) <= 1e-12
+    assert rational_exact_p(spec, u) == Fraction(17, 105)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=2, max_value=4),
+    st.data(),
+)
+def test_exact_p_matches_rational_oracle(r, c, data):
+    cells = data.draw(st.lists(st.integers(0, 3), min_size=r * c, max_size=r * c))
+    u = Table(tuple(cells), (r, c))
+    arr = u.to_array()
+    assume((arr.sum(axis=0) > 0).all() and (arr.sum(axis=1) > 0).all())
+    spec, p = fitted_exact_p(u)
+    assert abs(p - rational_exact_p(spec, u)) <= 1e-12

@@ -105,6 +105,15 @@ def test_spec_from_observation_quasi_independence_zeros():
     assert spec.zero_set() == {0}
 
 
+def test_forced_zeros_add_the_cells_of_zero_margins():
+    # structural zero at (1, 2); row 0 and columns 1 and 2 have margin 0
+    model = QuasiIndependence((2, 3), ((1, 2),))
+    spec = fiber_spec_from_observation(model, Table((0, 0, 0, 3, 0, 0), (2, 3)))
+    assert spec.forced_zeros() == {0, 1, 2, 4, 5}
+    spec = fiber_spec_from_observation(Independence((2, 2)), Table((2, 1, 0, 3), (2, 2)))
+    assert spec.forced_zeros() == set()
+
+
 def test_spec_rejects_observation_violating_zero():
     u = Table((1, 1, 1, 1), (2, 2))
     model = QuasiIndependence((2, 2), ((0, 0),))

@@ -5,7 +5,8 @@ Move proposals pick a move and a sign uniformly; SAT proposals come
 from a sampler.  Both use the same acceptance rule
 r(u, v) = exp(min(0, sum(lgamma(u_i + 1) - lgamma(v_i + 1)))), and a
 proposal that leaves the nonnegative orthant is a self-loop that
-still counts as a step.
+still counts as a step.  A state is a hit when its statistic is at
+least the observed one less a relative 1e-7, so ties survive rounding.
 """
 
 import io
@@ -239,3 +240,18 @@ def test_run_record_csv_layout():
     assert len(lines) == 7
     kinds = [line.split(",")[3] for line in lines[1:]]
     assert kinds == ["move", "sat", "move", "sat", "move", "sat"]
+
+
+def test_states_within_the_tie_tolerance_are_hits():
+    """Every state but the observed one sits 1e-9 relative below the
+    observed statistic: all of them count as hits."""
+    observed = 0.7
+
+    def stat(cells):
+        return observed if tuple(cells) == U0.cells else observed * (1 - 1e-9)
+
+    rec = run_walk(SPEC, U0, SatOnly(), None, InternalUniformSampler(), 2000, stat,
+                   seed=3, count_states=True)
+    assert rec.threshold == observed
+    assert len(rec.state_counts) == 3  # the whole fiber was visited
+    assert rec.p_final == 1.0
