@@ -248,6 +248,16 @@ def test_readme_test_example_output(readme_table, capsys):
     )
 
 
+def test_readme_library_quick_start_output(capsys):
+    """The README's library quick start prints what the CLI example
+    shows: the same walk and the same exact p-value."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split() == ["0.8872", "0.8714285714285716"]
+
+
 def test_diagnose_internal_uniform_output(readme_table, capsys):
     code = run_cli(
         "diagnose", "--table", readme_table, "--model", "independence",

@@ -6,6 +6,7 @@ structural zeros.  These tests pin the bookkeeping: index flattening,
 margin computation, the table file format, and spec construction.
 """
 
+import hashlib
 import io
 
 import numpy as np
@@ -158,3 +159,34 @@ def test_margins_match_numpy(i, j):
     got = margins(A, u)
     assert got[i] == arr[i].sum()
     assert got[4 + j] == arr[:, j].sum()
+
+
+# sha256 of the entries (int64, row-major) of each face-margin matrix
+GOLDEN_MATRICES = {
+    "independence:2x2": "ab32e8caa2f67e60c3cfc60cd27d6af16fc7196ce0a920a8ad3e2d13687349a2",
+    "independence:2x3": "f24975268b1f4db81315fba4c0ba4627df250f4d70e0f63291614ca8ed3f157c",
+    "independence:3x2": "968058c7551957f8e4f045b14a57096f7e7d5485e3bd6c055ecc24cfec0f9d74",
+    "independence:3x3": "bc9c371b555379671192bc56413116d32fe327c13ce0e0f57b53d4af23df1929",
+    "independence:4x4": "d8491f43c24c8b970b9706c6c98bb9da5894433a95d87139b0ca4ccd9221a53d",
+    "independence:4x5": "7f6aef306b3a94354bf5f4093d07e52f327a8d20d0cecfec7d9756f81bd4f0a0",
+    "independence:5x5": "8b3743c0d6e4c4b9c32ecb91c1d85d95eb161dbdd48f0392bfd97cc89a9fa28d",
+    "independence:2x3x4": "44a557c601e0e935920745ce9c374fff2ba21a66d17ceeffd8e7b0c358959161",
+    "independence:3x3x3": "e14eab1583a50886e87417a9ee22bba2f20bd2138a598a9ed046dc9494692c47",
+    "independence:2x2x2x2": "4581899bb3d070563aede0cd0ac8389bd52e114e1f794d0cdcb813029715634e",
+    "n3f:2": "84870c31f65dac949ea220c3f4ea19b777c122823d3834cd2c03b3be21692b12",
+    "n3f:3": "0b857e519cfc0277e1872a26d96890234169f1238171c25427415e895f4fc6e0",
+    "n3f:4": "a105398476bb421c524e57433e3066ae8a32dcffc510db5b54756a98a2585079",
+    "n3f:5": "2376c59fe772acbef9fe3cfe7df4b85ad7fe273d2658804f4c86296d7a3d5b22",
+}
+
+
+def _matrix_digest(A):
+    return hashlib.sha256(repr(A.entries.shape).encode() + A.entries.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MATRICES))
+def test_matrix_golden(name):
+    kind, dims = name.split(":")
+    size = tuple(int(t) for t in dims.split("x"))
+    A = build_n3f_matrix(size[0]) if kind == "n3f" else build_independence_matrix(size)
+    assert _matrix_digest(A) == GOLDEN_MATRICES[name]

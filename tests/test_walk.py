@@ -9,6 +9,7 @@ still counts as a step.  A state is a hit when its statistic is at
 least the observed one less a relative 1e-7, so ties survive rounding.
 """
 
+import hashlib
 import io
 import math
 
@@ -16,9 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberwalk.models import Independence, Table, fiber_spec_from_observation
-from fiberwalk.moves import basic_moves_two_way
-from fiberwalk.sampling import InternalUniformSampler, make_rng
+from fiberwalk.mle import ChiSquare, fit_loglinear
+from fiberwalk.models import Independence, NoThreeWay, Table, fiber_spec_from_observation
+from fiberwalk.moves import basic_moves_n3f, basic_moves_two_way
+from fiberwalk.sampling import (
+    InternalBiasedSampler,
+    InternalUniformSampler,
+    SamplerExitError,
+    make_rng,
+)
 from fiberwalk.walk import (
     Alternating,
     MovesOnly,
@@ -255,3 +262,94 @@ def test_states_within_the_tie_tolerance_are_hits():
     assert rec.threshold == observed
     assert len(rec.state_counts) == 3  # the whole fiber was visited
     assert rec.p_final == 1.0
+
+
+# -- golden records: a change that keeps the walk keeps these bytes
+
+
+class FailingSampler:
+    """The uniform sampler's first ``per_call`` draws per call; the call
+    after ``calls`` successful ones raises ``SamplerExitError``."""
+
+    def __init__(self, per_call, calls):
+        self.inner = InternalUniformSampler()
+        self.per_call = per_call
+        self.calls = calls
+
+    def sample(self, encoding, count, seed):
+        if self.calls == 0:
+            raise SamplerExitError("sampler exited with status 1: gone")
+        self.calls -= 1
+        return self.inner.sample(encoding, count, seed)[: self.per_call]
+
+
+def record_digest(rec) -> str:
+    """sha256 over every field of a run record but the state counts."""
+    h = hashlib.sha256()
+    for arr in (rec.p_sequence, rec.accepted, rec.proposal_kind):
+        h.update(arr.dtype.str.encode())
+        h.update(arr.tobytes())
+    h.update(repr((rec.hits, rec.steps, rec.sat_steps, rec.move_steps, rec.threshold,
+                   rec.aborted, rec.abort_reason)).encode())
+    h.update(repr([(t.cells, t.shape) for t in rec.finals]).encode())
+    return h.hexdigest()
+
+
+def _golden_run(case):
+    if case.startswith("n3f"):
+        u = Table((1, 0, 2, 1, 1, 0, 0, 1, 1, 2, 0, 1, 0, 1, 1, 1, 0, 0,
+                   0, 2, 0, 1, 0, 1, 1, 0, 1), (3, 3, 3))
+        model, moves = NoThreeWay(3), basic_moves_n3f(3)
+    else:
+        u = Table((2, 1, 0, 1, 1, 1, 0, 1, 2), (3, 3))
+        model, moves = Independence((3, 3)), basic_moves_two_way((3, 3))
+    spec = fiber_spec_from_observation(model, u)
+    stat = ChiSquare(fit_loglinear(spec.matrix, u).pi, u.n)
+    name, sampler_name = case.split("/")
+    schedule = {
+        "moves-only": MovesOnly(), "sat-only": SatOnly(), "alternating-3": Alternating(3),
+        "alternating-10": Alternating(10), "parallel-7-5": ParallelStarts(7, 5),
+        "n3f-alternating-2": Alternating(2), "abort-alternating-3": Alternating(3),
+        "abort-parallel-7-5": ParallelStarts(7, 5),
+    }[name]
+    sampler = {
+        "uniform": InternalUniformSampler(),
+        "biased": InternalBiasedSampler(strength=2.0),
+        "fail-after-3": FailingSampler(per_call=7, calls=3),
+        "fail-at-once": FailingSampler(per_call=7, calls=0),
+    }[sampler_name]
+    return run_walk(spec, u, schedule, moves, sampler, 3000, stat, seed=19)
+
+
+GOLDEN_RECORDS = {
+    # aborts at SAT step 66, on the sampler's fourth call: 65 steps
+    "abort-alternating-3/fail-after-3": "547168bec96391dc653e2f54a3ca210fab73a49e249ca2897bee11b0e18db5eb",
+    "abort-parallel-7-5/fail-at-once": "16e19c80b2b6d5e96f414a12560c8b5e787fd6c01c45d1af5e62707146e1de7c",
+    "alternating-10/biased": "698470c3d4e95a6437cb9b7df65b63859d0c292177ea1544332c9fbcc494ef3b",
+    "alternating-10/uniform": "6023175bd4c60388efbc450674f60a3adfaa6f9ee35abffdccd2b2921f54f225",
+    "alternating-3/biased": "ca98e852d88c48d83377570050af2748fa3efea3610ea7b0f3185aeca88fdb51",
+    "alternating-3/uniform": "f9a46c118a50b88b22194f89ad5cb9d67de2a3a1393b6e0fb2e6450d2b6f0aa0",
+    "moves-only/uniform": "5dfafe237c7526c3e6d032566f04c28017986a76fce14ebbb83d0309aa3df8b5",
+    "n3f-alternating-2/uniform": "0fef325f9984002e908f8d59c9c764e504f77543c6e8be6e6a69f1f514b62d21",
+    "parallel-7-5/biased": "17579e5f1f9a651d5a6bc8c63f40b065de44a318dfa585fb674d485b1059dd57",
+    "parallel-7-5/uniform": "6822cc30ccf7dd8b9a0792880a6303e33cc12b56825fba1d35a3a7b43acc5564",
+    "sat-only/biased": "34427a2374c131129eb5d35546e72f8737b4e56e7f048d9adc72faf7578e79b1",
+    "sat-only/uniform": "5f11daaa3f5b9e154c1f9f5bb591c519a2a3bbf0590bd24b8b340cf4846d38d9",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RECORDS))
+def test_run_record_golden(case):
+    assert record_digest(_golden_run(case)) == GOLDEN_RECORDS[case]
+
+
+def test_sat_proposal_past_the_exp_range_is_accepted():
+    """On the 2x2 table 1000 0 0 1000 a SAT proposal such as
+    500 500 500 500 has log acceptance ratio about 1,379, beyond what
+    ``math.exp`` can take (709); the step accepts it without calling
+    ``exp``."""
+    u = Table((1000, 0, 0, 1000), (2, 2))
+    spec = fiber_spec_from_observation(Independence((2, 2)), u)
+    rec = run_walk(spec, u, SatOnly(), None, InternalUniformSampler(), 50, count_stat, seed=1)
+    assert rec.steps == 50 and not rec.aborted
+    assert rec.accepted[0]
