@@ -66,6 +66,8 @@ DEFAULT_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 MODELS = ("independence", "quasi", "n3f")
 
+QUASI_TABLES = 50  # tables generate_initial_quasi draws before it gives up
+
 
 def round_largest_remainder(weights: Sequence[float], total: int) -> list[int]:
     """Round nonnegative weights to integers summing to ``total``:
@@ -123,7 +125,7 @@ def generate_initial_two_way(
 
 
 def generate_initial_quasi(
-    shape: Sequence[int], n: int, lam: float, seed: int, max_retries: int = 50
+    shape: Sequence[int], n: int, lam: float, seed: int
 ) -> tuple[Table, tuple[int, ...]]:
     """Two-way table plus a zero pattern under which the MLE exists.
 
@@ -133,11 +135,11 @@ def generate_initial_quasi(
     over the free cells by largest remainder (preserving n).  A repair
     that strips a full row or column, or leaves a free-cell graph
     without cycles (a one-element fiber with no moves), triggers a
-    fresh table.
+    fresh table, up to ``QUASI_TABLES`` tables.
     """
     d1, d2 = (int(s) for s in shape)
     rng = make_rng(seed, 17)
-    for _ in range(max_retries):
+    for _ in range(QUASI_TABLES):
         table_seed = int(rng.integers(1 << 62))
         table = generate_initial_two_way((d1, d2), n, lam, table_seed)
         initial_zeros = tuple(j for j, c in enumerate(table.cells) if c == 0)
@@ -162,7 +164,7 @@ def generate_initial_quasi(
         for j, c in zip(free, rounded):
             cells[j] = c
         return Table(cells=tuple(cells), shape=(d1, d2)), zeros
-    raise RuntimeError(f"no usable zero pattern after {max_retries} tables")
+    raise RuntimeError(f"no usable zero pattern after {QUASI_TABLES} tables")
 
 
 def generate_initial_n3f(
@@ -224,23 +226,27 @@ class ExperimentConfig:
             raise ValueError("cycle moves apply to two-way tables only")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        if self.exact_cap < 0:
+            raise ValueError("exact_cap must be >= 0")
 
 
 @dataclass(frozen=True)
 class BenchRun:
     """One run's outcome; ``error`` is set (and the rest mostly empty)
-    when a stage failed and the run was skipped."""
+    when a stage failed and the run was skipped.  ``converged``,
+    ``discrepancy`` and ``iterations`` are the MLE fit's, None when the
+    run failed before the fit."""
 
     run_id: int
-    initial: Table | None
-    lam: float | None
-    zeros: tuple[int, ...]
     exact_p: float | None
     p_sequence: np.ndarray | None
     convergence_step: int | None
     sat_steps: int
     move_steps: int
     final_p: float | None
+    converged: bool | None = None
+    discrepancy: float | None = None
+    iterations: int | None = None
     error: str | None = None
 
     @property
@@ -323,19 +329,18 @@ def _one_run(
         spec, initial, config.schedule, config.move_source, config.move_path,
         config.sampler, config.steps, walk_seed, config.exact_cap,
     )
-    exact, rec = test.exact_p, test.rec
-    zeros = spec.structural_zeros
+    exact, rec, fit = test.exact_p, test.rec, test.fit
+    fit_fields = (fit.converged, fit.discrepancy, fit.iterations)
     if rec.aborted:
         return BenchRun(
-            run_id, initial, lam, zeros, exact, None, None,
-            rec.sat_steps, rec.move_steps, None,
+            run_id, exact, None, None, rec.sat_steps, rec.move_steps, None, *fit_fields,
             error=f"walk aborted: {rec.abort_reason}",
         )
     reference = exact if exact is not None else rec.p_final
     step = convergence_step(rec.p_sequence, reference, config.tol)
     return BenchRun(
-        run_id, initial, lam, zeros, exact, rec.p_sequence, step,
-        rec.sat_steps, rec.move_steps, rec.p_final,
+        run_id, exact, rec.p_sequence, step, rec.sat_steps, rec.move_steps, rec.p_final,
+        *fit_fields,
     )
 
 
@@ -357,7 +362,7 @@ def run_evaluation(config: ExperimentConfig) -> list[BenchRun]:
         except Exception as exc:  # record, skip, keep going
             records.append(
                 BenchRun(
-                    i + 1, None, lam, (), None, None, None, 0, 0, None,
+                    i + 1, None, None, None, 0, 0, None,
                     error=f"{type(exc).__name__}: {exc}",
                 )
             )
@@ -372,7 +377,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _svg_plot(records: list[BenchRun], width: int = 720, height: int = 420) -> str:
+def _svg_plot(records: list[BenchRun]) -> str:
+    width, height = 720, 420
     left, right, top, bottom = 52, 16, 16, 36
     pw, ph = width - left - right, height - top - bottom
     runs = [r for r in records if r.ok and r.p_sequence is not None]

@@ -23,7 +23,7 @@ from pathlib import Path
 from .bench import conditional_test, export_results, parse_config, run_evaluation
 from .dpll import projected_models
 from .encode import encode_fiber, parse_dimacs, write_layout
-from .enumeration import enumerate_fiber, iter_fiber
+from .enumeration import FULL_FIBER_CAP, enumerate_fiber, iter_fiber
 from .models import (
     FiberSpec,
     Independence,
@@ -49,6 +49,25 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+def _mle_warning(fit) -> str:
+    """The warning for an unconverged MLE fit, or a bench run's copy of one."""
+    return (f"warning: MLE stopped at discrepancy {fit.discrepancy:.3g} "
+            f"after {fit.iterations} iterations")
 
 
 def _add_spec_args(p: argparse.ArgumentParser, with_margins: bool = True) -> None:
@@ -233,11 +252,7 @@ def cmd_test(args) -> int:
     )
     fit, exact, rec = test.fit, test.exact_p, test.rec
     if not fit.converged:
-        print(
-            f"warning: MLE stopped at discrepancy {fit.discrepancy:.3g} "
-            f"after {fit.iterations} iterations",
-            file=sys.stderr,
-        )
+        print(_mle_warning(fit), file=sys.stderr)
     print(f"statistic: {rec.threshold!r}")
     print(f"steps: {rec.steps} (sat {rec.sat_steps}, move {rec.move_steps})")
     if rec.aborted:
@@ -261,6 +276,8 @@ def cmd_bench(args) -> int:
     ok = sum(1 for r in records if r.ok)
     print(f"runs: {len(records)} ({ok} ok, {len(records) - ok} failed)")
     for rec in records:
+        if rec.converged is False:
+            print(f"run {rec.run_id}: {_mle_warning(rec)}", file=sys.stderr)
         if not rec.ok:
             print(f"run {rec.run_id} failed: {rec.error}", file=sys.stderr)
     print(f"wrote {len(paths)} files to {args.out}")
@@ -271,7 +288,7 @@ def cmd_diagnose(args) -> int:
     spec, _ = _build_spec(args)
     config = SamplerConfig(args.sampler, args.sampler_command, args.timeout, args.bias_strength)
     draws = build_sampler(config).sample(encode_fiber(spec), args.draws, args.seed)
-    fiber = enumerate_fiber(spec, cap=1_000_000).require_complete()
+    fiber = enumerate_fiber(spec, cap=FULL_FIBER_CAP).require_complete()
     uniform = {v.cells: 1.0 / len(fiber) for v in fiber}
     tv = empirical_tv(Counter(u.cells for u in draws), uniform)
     print(f"source: {config.summary()}")
@@ -294,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list/count fiber elements")
     _add_spec_args(p)
     p.add_argument("--cnf", help="count projected models of a DIMACS file instead")
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument("--cap", type=_at_least(0), default=10_000_000)
     p.add_argument("--count-only", action="store_true", help="suppress the listing")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("test", help="conditional goodness-of-fit test")
     _add_spec_args(p, with_margins=False)
     p.add_argument("--steps", type=int, default=10_000)
-    p.add_argument("--exact-cap", type=int, default=100_000)
+    p.add_argument("--exact-cap", type=_at_least(0), default=100_000)
     p.add_argument("--seed", type=int, default=0)
     _add_walk_args(p)
     _add_sampler_args(p)
@@ -315,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="sampler uniformity report")
     _add_spec_args(p)
-    p.add_argument("--draws", type=int, default=1000)
+    p.add_argument("--draws", type=_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     _add_sampler_args(p)
     p.set_defaults(func=cmd_diagnose)

@@ -52,7 +52,6 @@ class Solver:
         self.order = order
         self._at_model = False
         self._exhausted = False
-        self._started = False
         for cl in clauses:
             self._install(list(cl))
 
@@ -179,7 +178,6 @@ class Solver:
             if not self._backtrack_flip():
                 self._exhausted = True
                 return None
-        self._started = True
         while True:
             if not self._propagate():
                 if not self._backtrack_flip():
@@ -197,9 +195,6 @@ class Solver:
         deepest-assigned literals become the watches.
         """
         if not self._at_model:
-            if not self._started:
-                self._install(list(lits))
-                return
             raise RuntimeError("add_clause is only supported at a model")
         cl = list(dict.fromkeys(lits))
         if len(cl) < 2:

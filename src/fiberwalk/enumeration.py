@@ -27,6 +27,7 @@ the CNF encoder and the walker.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TextIO
@@ -40,6 +41,7 @@ __all__ = [
     "fiber_size",
     "FiberTooLarge",
     "log_rho_unnormalized",
+    "rho_weights",
     "hit_cut",
     "exact_p_value",
     "exact_p_from_enumeration",
@@ -47,6 +49,10 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10_000_000
+
+# the cap of the operations that hold a whole fiber in memory: the
+# enumerating samplers, move-graph components and the sampler diagnosis
+FULL_FIBER_CAP = 1_000_000
 
 # relative tie tolerance of the hit rule, as in R's fisher.test
 TIE_TOLERANCE = 1e-7
@@ -158,27 +164,26 @@ def iter_fiber(spec: FiberSpec) -> Iterator[Table]:
         t += 1
 
 
+def _check_cap(cap: int) -> None:
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+
+
 def enumerate_fiber(spec: FiberSpec, cap: int = DEFAULT_CAP) -> FiberEnumeration:
     """Enumerate up to ``cap`` fiber elements; marks the result
     incomplete (rather than raising) when more exist."""
-    elements: list[Table] = []
-    complete = True
-    for u in iter_fiber(spec):
-        if len(elements) >= cap:
-            complete = False
-            break
-        elements.append(u)
-    return FiberEnumeration(elements=tuple(elements), complete=complete, cap=cap)
+    _check_cap(cap)
+    elements = tuple(itertools.islice(iter_fiber(spec), cap + 1))
+    return FiberEnumeration(elements=elements[:cap], complete=len(elements) <= cap, cap=cap)
 
 
 def fiber_size(spec: FiberSpec, cap: int = DEFAULT_CAP) -> int:
     """Exact number of fiber elements; raises :class:`FiberTooLarge`
     past the cap."""
-    count = 0
-    for _ in iter_fiber(spec):
-        count += 1
-        if count > cap:
-            raise FiberTooLarge(f"fiber exceeds cap of {cap} elements")
+    _check_cap(cap)
+    count = sum(1 for _ in itertools.islice(iter_fiber(spec), cap + 1))
+    if count > cap:
+        raise FiberTooLarge(f"fiber exceeds cap of {cap} elements")
     return count
 
 
@@ -186,6 +191,14 @@ def log_rho_unnormalized(u: Table | Sequence[int]) -> float:
     """log of the target weight: -sum_i log(u_i!)."""
     cells = u.cells if isinstance(u, Table) else u
     return -sum(math.lgamma(c + 1) for c in cells)
+
+
+def rho_weights(tables: Sequence[Table]) -> list[float]:
+    """Target weights exp(log rho(u) - max log rho), the largest 1, so
+    that no weight underflows before the sum."""
+    logw = [log_rho_unnormalized(u) for u in tables]
+    m = max(logw)
+    return [math.exp(lw - m) for lw in logw]
 
 
 def hit_cut(observed: float) -> float:
@@ -207,16 +220,9 @@ def exact_p_from_enumeration(
     if not enum.elements:
         raise ValueError("empty fiber")
     cut = hit_cut(stat_threshold)
-    log_ws = [log_rho_unnormalized(u) for u in enum.elements]
-    m = max(log_ws)
-    total_terms = []
-    hit_terms = []
-    for u, lw in zip(enum.elements, log_ws):
-        w = math.exp(lw - m)
-        total_terms.append(w)
-        if stat(u.cells) >= cut:
-            hit_terms.append(w)
-    return math.fsum(hit_terms) / math.fsum(total_terms)
+    weights = rho_weights(enum.elements)
+    hits = [w for u, w in zip(enum.elements, weights) if stat(u.cells) >= cut]
+    return math.fsum(hits) / math.fsum(weights)
 
 
 def exact_p_value(

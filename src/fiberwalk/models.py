@@ -11,7 +11,6 @@ Cell indexing is row-major with the last axis fastest, everywhere.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO, Union
 
@@ -249,6 +248,19 @@ class NoThreeWay:
 ModelSpec = Union[Independence, QuasiIndependence, NoThreeWay]
 
 
+def _face_margins(shape: tuple[int, ...], faces) -> ConstraintMatrix:
+    """0/1 matrix of the face margins of a table: for each face (a tuple
+    of axes) one row per level combination of those axes, row-major,
+    with a 1 at every cell that has those levels on those axes."""
+    coords = np.indices(shape).reshape(len(shape), -1)
+    blocks = []
+    for face in faces:
+        sizes = [shape[a] for a in face]
+        level = np.ravel_multi_index(coords[list(face)], sizes)
+        blocks.append(np.arange(int(np.prod(sizes)))[:, None] == level)
+    return ConstraintMatrix(np.vstack(blocks))
+
+
 def build_independence_matrix(shape: Sequence[int]) -> ConstraintMatrix:
     """0/1 matrix of all 1-marginals of a k-way table.
 
@@ -261,17 +273,7 @@ def build_independence_matrix(shape: Sequence[int]) -> ConstraintMatrix:
         raise ValueError("need at least 2 axes")
     if any(s < 2 for s in shape):
         raise ValueError("every axis size must be >= 2")
-    d = int(np.prod(shape))
-    k = sum(shape)
-    A = np.zeros((k, d), dtype=np.int64)
-    row = 0
-    for axis, size in enumerate(shape):
-        for level in range(size):
-            for multi in itertools.product(*(range(s) for s in shape)):
-                if multi[axis] == level:
-                    A[row, flatten_index(multi, shape)] = 1
-            row += 1
-    return ConstraintMatrix(A)
+    return _face_margins(shape, [(axis,) for axis in range(len(shape))])
 
 
 def build_n3f_matrix(d: int) -> ConstraintMatrix:
@@ -283,17 +285,7 @@ def build_n3f_matrix(d: int) -> ConstraintMatrix:
     d = int(d)
     if d < 2:
         raise ValueError("axis size must be >= 2")
-    shape = (d, d, d)
-    n_cells = d ** 3
-    A = np.zeros((3 * d * d, n_cells), dtype=np.int64)
-    row = 0
-    for axes in ((0, 1), (0, 2), (1, 2)):
-        for levels in itertools.product(range(d), range(d)):
-            for multi in itertools.product(range(d), range(d), range(d)):
-                if (multi[axes[0]], multi[axes[1]]) == levels:
-                    A[row, flatten_index(multi, shape)] = 1
-            row += 1
-    return ConstraintMatrix(A)
+    return _face_margins((d, d, d), [(0, 1), (0, 2), (1, 2)])
 
 
 def margins(A: ConstraintMatrix, u: Table) -> tuple[int, ...]:
@@ -306,9 +298,7 @@ def margins(A: ConstraintMatrix, u: Table) -> tuple[int, ...]:
 
 def model_matrix(model: ModelSpec) -> ConstraintMatrix:
     """The sufficient-statistics matrix of a model family instance."""
-    if isinstance(model, Independence):
-        return build_independence_matrix(model.shape)
-    if isinstance(model, QuasiIndependence):
+    if isinstance(model, (Independence, QuasiIndependence)):
         return build_independence_matrix(model.shape)
     if isinstance(model, NoThreeWay):
         return build_n3f_matrix(model.d)

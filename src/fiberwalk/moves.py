@@ -93,15 +93,6 @@ class MoveSet:
     def __getitem__(self, k) -> Move:
         return self.moves[k]
 
-    def validate(self, matrix: ConstraintMatrix) -> None:
-        """Every move must lie in the kernel of the matrix."""
-        if matrix.cols != self.d:
-            raise ValueError(f"moves are on {self.d} cells, matrix has {matrix.cols}")
-        for k, mv in enumerate(self.moves):
-            img = matrix.entries @ mv.vector(self.d)
-            if img.any():
-                raise ValueError(f"move {k} is not in the kernel: A m = {img.tolist()}")
-
 
 def basic_moves_two_way(shape: Sequence[int], zeros: Iterable[int] = ()) -> MoveSet:
     """All +1/-1 rectangle moves on a two-way table whose four corners

@@ -31,7 +31,7 @@ import numpy as np
 
 from .dpll import projected_models
 from .encode import CNFEncoding
-from .enumeration import FiberTooLarge, enumerate_fiber
+from .enumeration import FULL_FIBER_CAP, FiberTooLarge, enumerate_fiber
 from .models import FiberSpec, Table
 
 __all__ = [
@@ -125,12 +125,12 @@ class SamplerConfig:
         return "internal-uniform"
 
 
-def build_sampler(config: SamplerConfig, cap: int = 1_000_000) -> "FiberSampler":
+def build_sampler(config: SamplerConfig) -> "FiberSampler":
     if config.kind == "external":
         return ExternalSampler(config.command_template, timeout=config.timeout)
     if config.kind == "internal-biased":
-        return InternalBiasedSampler(strength=config.bias_strength, cap=cap)
-    return InternalUniformSampler(cap=cap)
+        return InternalBiasedSampler(strength=config.bias_strength)
+    return InternalUniformSampler()
 
 
 def _parse_solutions(text: str) -> list[list[int]]:
@@ -263,9 +263,9 @@ class ExternalSampler:
 class _EnumeratingSampler:
     """Enumerates each fiber once, caches its elements with their draw
     law (None for uniform), and draws element indices from that law.
-    Draws reference the cached tables rather than copying them."""
+    Draws reference the cached tables rather than copying them.
+    Fibers past ``FULL_FIBER_CAP`` elements raise FiberTooLarge."""
 
-    cap: int = 1_000_000
     _cache: dict[FiberSpec, tuple[tuple[Table, ...], np.ndarray | None]] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -275,7 +275,7 @@ class _EnumeratingSampler:
 
     def _dist(self, spec: FiberSpec) -> tuple[tuple[Table, ...], np.ndarray | None]:
         if spec not in self._cache:
-            elements = enumerate_fiber(spec, cap=self.cap).require_complete().elements
+            elements = enumerate_fiber(spec, cap=FULL_FIBER_CAP).require_complete().elements
             self._cache[spec] = (elements, self._law(spec, elements))
         return self._cache[spec]
 

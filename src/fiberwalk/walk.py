@@ -19,7 +19,14 @@ Schedules: MovesOnly, SatOnly, Alternating(n) (step t is a SAT-step
 iff t mod n = 0) and ParallelStarts(n, k) (k sub-walks started from k
 SAT draws; one sub-walk is chosen uniformly and advanced n move-steps
 at a time; only move-steps count toward N, and the k initial draws are
-the scheme's k SAT-steps).
+the scheme's k SAT-steps).  The schedule alone fixes each step's kind,
+so the record's kinds and step counts are derived from it, not counted.
+
+The walk draws from streams (generators).  SAT proposals are sampler
+batches, each seeded from the scheduler stream ``make_rng(seed, 0)``,
+which also picks the ParallelStarts sub-walks.  Sub-walk w (1 for a
+single walk) draws moves, signs and acceptance uniforms 8,192 at a time
+from ``make_rng(seed, w)``: a uniform for each proposal in the orthant.
 """
 
 from __future__ import annotations
@@ -27,12 +34,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .encode import CNFEncoding, encode_fiber
-from .enumeration import enumerate_fiber, hit_cut, log_rho_unnormalized
+from .enumeration import (
+    FULL_FIBER_CAP, enumerate_fiber, hit_cut, log_rho_unnormalized, rho_weights,
+)
 from .models import FiberSpec, Table
 from .moves import MoveSet
 from .sampling import FiberSampler, SamplerError, make_rng
@@ -123,11 +132,11 @@ class RunRecord:
     """Everything a finished (or aborted) run produced.
 
     ``p_sequence[i]`` is the estimate after step i+1; ``accepted`` and
-    ``proposal_kind`` ('m' for move, 's' for SAT) are per recorded
-    step.  ``sat_steps`` counts consumed SAT proposals including the
-    initial draws of ParallelStarts; ``move_steps`` counts move
-    proposals.  ``state_counts`` maps visited cell tuples to visit
-    counts when requested.
+    ``proposal_kind`` (0 for move, 1 for SAT, as the schedule sets it)
+    are per recorded step.  ``sat_steps`` counts consumed SAT proposals
+    including the initial draws of ParallelStarts; ``move_steps``
+    counts move proposals.  ``state_counts`` maps visited cell tuples
+    to visit counts when requested.
     """
 
     p_sequence: np.ndarray
@@ -151,45 +160,22 @@ class RunRecord:
 
     def to_csv(self, sink) -> None:
         """Per-step CSV: step, p_value, accepted, proposal_kind."""
-        if hasattr(sink, "write"):
-            self._write_csv(sink)
-        else:
+        if not hasattr(sink, "write"):
             with open(sink, "w", newline="") as f:
-                self._write_csv(f)
-
-    def _write_csv(self, f) -> None:
-        w = csv.writer(f, lineterminator="\n")
+                return self.to_csv(f)
+        w = csv.writer(sink, lineterminator="\n")
         w.writerow(["step", "p_value", "accepted", "proposal_kind"])
         kinds = ("move", "sat")
-        for i in range(self.steps):
-            w.writerow(
-                [
-                    i + 1,
-                    repr(float(self.p_sequence[i])),
-                    int(self.accepted[i]),
-                    kinds[self.proposal_kind[i]],
-                ]
-            )
+        rows = zip(self.p_sequence.tolist(), self.accepted.tolist(), self.proposal_kind.tolist())
+        w.writerows((i, repr(p), int(a), kinds[k]) for i, (p, a, k) in enumerate(rows, 1))
 
 
 class _Recorder:
-    __slots__ = (
-        "p_seq",
-        "acc",
-        "kind",
-        "hits",
-        "i",
-        "stat",
-        "threshold",
-        "cut",
-        "hit_cache",
-        "counts",
-    )
+    __slots__ = ("p_seq", "acc", "hits", "i", "stat", "threshold", "cut", "hit_cache", "counts")
 
     def __init__(self, n: int, stat, threshold: float, count_states: bool):
         self.p_seq = np.empty(n, dtype=np.float64)
         self.acc = np.zeros(n, dtype=np.bool_)
-        self.kind = np.zeros(n, dtype=np.uint8)
         self.hits = 0
         self.i = 0
         self.stat = stat
@@ -198,7 +184,7 @@ class _Recorder:
         self.hit_cache: dict[tuple[int, ...], int] = {}
         self.counts: dict[tuple[int, ...], int] | None = {} if count_states else None
 
-    def record(self, accepted: bool, kind: int, cur_t: tuple[int, ...]) -> None:
+    def record(self, accepted: bool, cur_t: tuple[int, ...]) -> None:
         hit = self.hit_cache.get(cur_t)
         if hit is None:
             hit = 1 if self.stat(cur_t) >= self.cut else 0
@@ -208,106 +194,79 @@ class _Recorder:
         self.p_seq[i] = self.hits / (i + 1)
         if accepted:
             self.acc[i] = True
-        if kind:
-            self.kind[i] = 1
         counts = self.counts
         if counts is not None:
             counts[cur_t] = counts.get(cur_t, 0) + 1
         self.i = i + 1
 
 
-class _ProposalFeed:
-    """Batches sampler draws; each refill uses a fresh seed from the
-    scheduler stream so runs are reproducible.
-
-    A refill is one sampler call, and a short batch is used as
-    returned: ``take`` refills again when it runs out.  Only an empty
-    batch is retried, with a fresh seed, at most 16 times."""
-
-    def __init__(self, sampler: FiberSampler, encoding: CNFEncoding, sched_rng, chunk: int):
-        self.sampler = sampler
-        self.encoding = encoding
-        self.sched_rng = sched_rng
-        self.chunk = chunk
-        self.batch: list[Table] = []
-        self.pos = 0
-        self.consumed = 0
-
-    def take(self) -> Table:
-        if self.pos >= len(self.batch):
-            self._refill(self.chunk)
-        t = self.batch[self.pos]
-        self.pos += 1
-        self.consumed += 1
-        return t
-
-    def _refill(self, want: int) -> None:
+def _proposals(
+    sampler: FiberSampler, encoding: CNFEncoding, sched_rng, chunk: int
+) -> Iterator[Table]:
+    """SAT proposals, one sampler call per refill, each with a fresh
+    seed from the scheduler stream.  A short batch is used as returned;
+    only an empty one is retried, at most 16 times."""
+    while True:
         for _ in range(16):
-            seed = int(self.sched_rng.integers(1 << 62))
-            batch = self.sampler.sample(self.encoding, want, seed)
+            batch = sampler.sample(encoding, chunk, int(sched_rng.integers(1 << 62)))
             if batch:
-                self.batch = batch
-                self.pos = 0
-                return
-        raise SamplerError("sampler repeatedly returned no valid elements")
+                break
+        else:
+            raise SamplerError("sampler repeatedly returned no valid elements")
+        yield from batch
+
+
+def _moves(rng: np.random.Generator, signed: list) -> Iterator[tuple]:
+    """Uniform move proposals: ``signed[k][b]`` is move k's support with
+    its deltas negated (b = 0) or as given (b = 1)."""
+    while True:
+        picks = rng.integers(0, len(signed), size=_CHUNK).tolist()
+        signs = rng.integers(0, 2, size=_CHUNK).tolist()
+        for k, b in zip(picks, signs):
+            yield signed[k][b]
+
+
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    while True:
+        yield from rng.random(_CHUNK).tolist()
 
 
 class _Walk:
     """Hot-loop state of one sub-walk: current cells as a mutable list,
-    cached log-weight, and pre-drawn randomness blocks."""
+    cached log-weight, and its move and uniform streams, both drawn
+    from the sub-walk's own generator."""
 
-    __slots__ = ("cur", "cur_t", "logw", "rng", "midx", "msign", "unif", "mp", "up")
+    __slots__ = ("cur", "cur_t", "logw", "moves", "unif")
 
-    def __init__(self, start: Table, rng: np.random.Generator):
+    def __init__(self, start: Table, rng: np.random.Generator, signed: list | None):
         self.cur = list(start.cells)
         self.cur_t = start.cells
         self.logw = log_rho_unnormalized(start.cells)
-        self.rng = rng
-        self.midx = None
-        self.msign = None
-        self.unif = None
-        self.mp = 0
-        self.up = 0
+        self.moves = _moves(rng, signed)
+        self.unif = _uniforms(rng)
 
-    def _refill_moves(self, n_moves: int) -> None:
-        self.midx = self.rng.integers(0, n_moves, size=_CHUNK)
-        self.msign = self.rng.integers(0, 2, size=_CHUNK)
-        self.mp = 0
-
-    def _refill_unif(self) -> None:
-        self.unif = self.rng.random(_CHUNK)
-        self.up = 0
-
-    def move_step(self, moves, rec: _Recorder) -> None:
-        if self.midx is None or self.mp >= _CHUNK:
-            self._refill_moves(len(moves))
-        mv = moves[int(self.midx[self.mp])]
-        sign = 1 if self.msign[self.mp] else -1
-        self.mp += 1
+    def move_step(self, rec: _Recorder) -> None:
+        support, deltas = next(self.moves)
         cur = self.cur
         s = 0.0
-        valid = True
         lg = math.lgamma
-        for j, dl in zip(mv.support, mv.deltas):
-            c = cur[j]
-            nv = c + (dl if sign > 0 else -dl)
-            if nv < 0:
-                valid = False
-                break
-            s += lg(c + 1) - lg(nv + 1)
         accepted = False
-        if valid:
-            if self.up >= _CHUNK or self.unif is None:
-                self._refill_unif()
-            u = self.unif[self.up]
-            self.up += 1
+        for j, dl in zip(support, deltas):
+            c = cur[j]
+            nv = c + dl
+            if nv < 0:
+                break  # off the orthant: a self-loop, no uniform drawn
+            s += lg(c + 1) - lg(nv + 1)
+        else:
+            # s >= 0 first: math.exp overflows above 709
+            u = next(self.unif)
             if s >= 0 or u < math.exp(s):
-                for j, dl in zip(mv.support, mv.deltas):
-                    cur[j] += dl if sign > 0 else -dl
+                for j, dl in zip(support, deltas):
+                    cur[j] += dl
                 self.cur_t = tuple(cur)
                 self.logw += s  # log rho only shifts by the support terms
                 accepted = True
-        rec.record(accepted, 0, self.cur_t)
+        rec.record(accepted, self.cur_t)
 
     def sat_step(self, proposal: Table, logw_cache: dict, rec: _Recorder) -> None:
         p_cells = proposal.cells
@@ -316,20 +275,17 @@ class _Walk:
             lw = log_rho_unnormalized(p_cells)
             logw_cache[p_cells] = lw
         s = lw - self.logw  # log rho(v) - log rho(u)
-        accepted = False
-        if self.up >= _CHUNK or self.unif is None:
-            self._refill_unif()
-        u = self.unif[self.up]
-        self.up += 1
-        if s >= 0 or u < math.exp(s):
+        u = next(self.unif)
+        accepted = s >= 0 or u < math.exp(s)
+        if accepted:
             self.cur = list(p_cells)
             self.cur_t = p_cells
             self.logw = lw
-            accepted = True
-        rec.record(accepted, 1, self.cur_t)
+        rec.record(accepted, self.cur_t)
 
 
-def _check_moves(moves: MoveSet | None, spec: FiberSpec) -> MoveSet:
+def _check_moves(moves: MoveSet | None, spec: FiberSpec) -> list:
+    """The move set's signed proposals, once it is known to fit the fiber."""
     if moves is None or not len(moves):
         raise ValueError("this schedule needs a non-empty move set")
     if moves.d != spec.d:
@@ -338,7 +294,10 @@ def _check_moves(moves: MoveSet | None, spec: FiberSpec) -> MoveSet:
     for k, mv in enumerate(moves):
         if any(j in zeros for j in mv.support):
             raise ValueError(f"move {k} touches a structural zero cell")
-    return moves
+    return [
+        ((mv.support, tuple(-dl for dl in mv.deltas)), (mv.support, mv.deltas))
+        for mv in moves
+    ]
 
 
 def run_walk(
@@ -365,100 +324,80 @@ def run_walk(
         raise ValueError("observed table is not in the fiber")
     threshold = float(stat(u_obs.cells))
 
-    needs_moves = not isinstance(schedule, SatOnly)
-    needs_sat = not isinstance(schedule, MovesOnly)
-    if needs_moves:
-        moves = _check_moves(moves, spec)
-    if needs_sat and sampler is None:
-        raise ValueError("this schedule needs a sampler")
-
+    signed = None if isinstance(schedule, SatOnly) else _check_moves(moves, spec)
+    # single walks: step t is a SAT step iff period divides t
+    if isinstance(schedule, (MovesOnly, ParallelStarts)):
+        period = 0
+    else:
+        period = 1 if isinstance(schedule, SatOnly) else schedule.n
     sched_rng = make_rng(seed, 0)
-    rec = _Recorder(N, stat, threshold, count_states)
     feed = None
-    if needs_sat:
-        encoding = encode_fiber(spec)
-        if isinstance(schedule, ParallelStarts):
-            chunk = schedule.k
-        elif isinstance(schedule, Alternating):
-            chunk = min(max(1, N // schedule.n), _CHUNK)
-        else:
-            chunk = min(N, _CHUNK)
-        feed = _ProposalFeed(sampler, encoding, sched_rng, chunk)
-
-    logw_cache: dict[tuple[int, ...], float] = {}
-    aborted = False
-    reason = None
+    if not isinstance(schedule, MovesOnly):
+        if sampler is None:
+            raise ValueError("this schedule needs a sampler")
+        chunk = min(max(1, N // period), _CHUNK) if period else schedule.k
+        feed = _proposals(sampler, encode_fiber(spec), sched_rng, chunk)
+    rec = _Recorder(N, stat, threshold, count_states)
 
     if isinstance(schedule, ParallelStarts):
         k, n = schedule.k, schedule.n
-        picks = sched_rng.integers(0, k, size=-(-N // n))
+        picks = sched_rng.integers(0, k, size=-(-N // n)).tolist()
         try:
-            starts = [feed.take() for _ in range(k)]
+            starts = [next(feed) for _ in range(k)]
         except SamplerError as exc:
-            return _finish(rec, spec, u_obs, [], 0, 0, True, str(exc))
-        walks = [_Walk(s, make_rng(seed, 1 + w)) for w, s in enumerate(starts)]
-        done = 0
-        pick_i = 0
-        while done < N:
-            wk = walks[int(picks[pick_i])]
-            pick_i += 1
-            burst = min(n, N - done)
-            for _ in range(burst):
-                wk.move_step(moves, rec)
-            done += burst
-        return _finish(rec, spec, u_obs, [w.cur_t for w in walks], k, N, False, None)
+            return _finish(rec, spec, u_obs, [], 0, 0, str(exc))
+        walks = [_Walk(s, make_rng(seed, 1 + w), signed) for w, s in enumerate(starts)]
+        for pick, done in zip(picks, range(0, N, n)):
+            step = walks[pick].move_step
+            for _ in range(min(n, N - done)):
+                step(rec)
+        return _finish(rec, spec, u_obs, [w.cur_t for w in walks], 0, k, None)
 
-    # single-walk schedules
-    if isinstance(schedule, MovesOnly):
-        period = 0
-    elif isinstance(schedule, SatOnly):
-        period = 1
-    else:
-        period = schedule.n
-    walk = _Walk(u_obs, make_rng(seed, 1))
-    sat_steps = 0
-    move_steps = 0
+    walk = _Walk(u_obs, make_rng(seed, 1), signed)
+    logw_cache: dict[tuple[int, ...], float] = {}
+    reason = None
     try:
         for t in range(1, N + 1):
             if period and t % period == 0:
-                walk.sat_step(feed.take(), logw_cache, rec)
-                sat_steps += 1
+                walk.sat_step(next(feed), logw_cache, rec)
             else:
-                walk.move_step(moves, rec)
-                move_steps += 1
+                walk.move_step(rec)
     except SamplerError as exc:
-        aborted = True
         reason = str(exc)
-    return _finish(rec, spec, u_obs, [walk.cur_t], sat_steps, move_steps, aborted, reason)
+    return _finish(rec, spec, u_obs, [walk.cur_t], period, 0, reason)
 
 
-def _finish(rec, spec, u_obs, final_cells, sat_steps, move_steps, aborted, reason) -> RunRecord:
+def _finish(rec, spec, u_obs, final_cells, period, initial_draws, reason) -> RunRecord:
+    """The record of ``rec.i`` steps; with a period, step t was a SAT
+    step iff period divides t.  A run that aborted at SAT step t stopped
+    after t - 1 steps, so the counts hold for aborted runs too."""
     steps = rec.i
+    kind = np.zeros(steps, dtype=np.uint8)
+    sat = 0
+    if period:
+        kind[period - 1::period] = 1
+        sat = steps // period
     finals = tuple(Table(cells=c, shape=spec.shape) for c in final_cells)
-    if not finals:
-        finals = (u_obs,)
     return RunRecord(
         p_sequence=rec.p_seq[:steps],
         accepted=rec.acc[:steps],
-        proposal_kind=rec.kind[:steps],
+        proposal_kind=kind,
         hits=rec.hits,
         steps=steps,
-        sat_steps=sat_steps,
-        move_steps=move_steps,
+        sat_steps=initial_draws + sat,
+        move_steps=steps - sat,
         threshold=rec.threshold,
-        finals=finals,
+        finals=finals or (u_obs,),
         state_counts=rec.counts,
-        aborted=aborted,
+        aborted=reason is not None,
         abort_reason=reason,
     )
 
 
-def connected_components_under_moves(
-    spec: FiberSpec, moves: MoveSet, cap: int = 1_000_000
-) -> list[list[Table]]:
+def connected_components_under_moves(spec: FiberSpec, moves: MoveSet) -> list[list[Table]]:
     """Partition the enumerated fiber into components of the move
     graph (u ~ v iff v = u +/- m for some move m)."""
-    fiber = list(enumerate_fiber(spec, cap=cap).require_complete())
+    fiber = list(enumerate_fiber(spec, cap=FULL_FIBER_CAP).require_complete())
     index = {u.cells: i for i, u in enumerate(fiber)}
     parent = list(range(len(fiber)))
 
@@ -499,9 +438,7 @@ def rho_distribution(fiber: Sequence[Table]) -> dict[tuple[int, ...], float]:
     fiber, via log-sum-exp."""
     if not fiber:
         raise ValueError("empty fiber")
-    logw = [log_rho_unnormalized(u.cells) for u in fiber]
-    m = max(logw)
-    ws = [math.exp(lw - m) for lw in logw]
+    ws = rho_weights(fiber)
     z = sum(ws)
     return {u.cells: w / z for u, w in zip(fiber, ws)}
 

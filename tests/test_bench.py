@@ -122,6 +122,11 @@ def test_convergence_step_single_element():
     assert convergence_step([0.9], 0.1) is None
 
 
+def test_config_refuses_a_negative_exact_cap():
+    with pytest.raises(ValueError, match="exact_cap must be >= 0"):
+        ExperimentConfig(model="independence", shape=(2, 2), n=4, exact_cap=-1)
+
+
 # -- config files
 
 
@@ -232,8 +237,7 @@ def test_export_files_and_determinism(tmp_path):
 
 def test_export_failures_file(tmp_path):
     records = [
-        BenchRun(0, None, 0.5, (), None, None, None, 0, 0, None,
-                 error="generator exploded"),
+        BenchRun(0, None, None, None, 0, 0, None, error="generator exploded"),
     ]
     export_results(records, tmp_path)
     text = (tmp_path / "failures.csv").read_text()

@@ -178,6 +178,43 @@ def test_bench_subcommand(tmp_path, capsys):
     assert (out_dir / "plot.svg").exists()
 
 
+def test_bench_warns_about_unconverged_fits(tmp_path, capsys):
+    """Runs 3, 4, 5, 6 and 9 of this config draw n3f tables without an
+    MLE; the bench says so for each of them, as ``fiberwalk test``
+    does, and still exports their p-values."""
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        "[experiment]\nmodel = n3f\nshape = 3, 3, 3\nn = 20\n"
+        "runs = 10\nsteps = 400\nseed = 6\n[schedule]\nkind = sat-only\n"
+    )
+    assert run_cli("bench", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
+    warned = [
+        line.split(":")[0]
+        for line in capsys.readouterr().err.splitlines()
+        if "warning: MLE stopped at discrepancy" in line and "after 1000 iterations" in line
+    ]
+    assert warned == ["run 3", "run 4", "run 5", "run 6", "run 9"]
+    assert len((tmp_path / "out" / "summary.csv").read_text().splitlines()) == 11
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("enumerate", "--cap", "-1", "--count-only"), "argument --cap: must be >= 0, got -1"),
+        (("test", "--exact-cap", "-3"), "argument --exact-cap: must be >= 0, got -3"),
+        (("diagnose", "--draws", "-5"), "argument --draws: must be >= 1, got -5"),
+        (("diagnose", "--draws", "0"), "argument --draws: must be >= 1, got 0"),
+    ],
+    ids=["cap", "exact-cap", "draws-negative", "draws-zero"],
+)
+def test_out_of_range_counts_are_usage_errors(argv, message, readme_table, capsys):
+    command, *rest = argv
+    assert run_cli(command, "--table", readme_table, *rest) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_bench_seed_override_changes_results(tmp_path, capsys):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(

@@ -101,6 +101,14 @@ def test_cap_truncates_and_require_complete_raises():
         enum.require_complete()
 
 
+def test_negative_cap_is_refused():
+    spec = spec_of(Independence((2, 2)), (1, 1, 1, 1), (2, 2))
+    with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+        enumerate_fiber(spec, cap=-1)
+    with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+        fiber_size(spec, cap=-1)
+
+
 def test_log_rho_matches_lgamma():
     u = Table((3, 0, 1, 2), (2, 2))
     want = -sum(math.lgamma(c + 1) for c in u.cells)
