@@ -64,6 +64,17 @@ def _at_least(low: int):
     return parse
 
 
+def _positive(text: str) -> float:
+    """argparse type: a float above 0."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value:g}")
+    return value
+
+
+_positive.__name__ = "float"  # argparse names it in "invalid float value"
+
+
 def _mle_warning(fit) -> str:
     """The warning for an unconverged MLE fit, or a bench run's copy of one."""
     return (f"warning: MLE stopped at discrepancy {fit.discrepancy:.3g} "
@@ -109,9 +120,9 @@ def _add_walk_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("walk")
     g.add_argument("--schedule", choices=SCHEDULE_KINDS, default="moves-only")
     g.add_argument(
-        "--period", type=int, default=10, help="n for alternating/parallel-starts"
+        "--period", type=_at_least(1), default=10, help="n for alternating/parallel-starts"
     )
-    g.add_argument("--walks", type=int, default=1, help="k for parallel-starts")
+    g.add_argument("--walks", type=_at_least(1), default=1, help="k for parallel-starts")
     g.add_argument("--moves", choices=MOVE_SOURCES, default="basic")
     g.add_argument("--moves-file", help="move basis file (with --moves file)")
 
@@ -128,7 +139,7 @@ def _add_sampler_args(p: argparse.ArgumentParser) -> None:
         help="external command template with {cnf} {count} {seed} placeholders",
     )
     g.add_argument("--bias-strength", type=float, default=1.0)
-    g.add_argument("--timeout", type=float, default=None)
+    g.add_argument("--timeout", type=_positive, default=None, help="seconds per external sampler call")
 
 
 def _parse_zeros(tokens, shape) -> tuple[tuple[int, ...], ...]:
@@ -317,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="conditional goodness-of-fit test")
     _add_spec_args(p, with_margins=False)
-    p.add_argument("--steps", type=int, default=10_000)
+    p.add_argument("--steps", type=_at_least(1), default=10_000)
     p.add_argument("--exact-cap", type=_at_least(0), default=100_000)
     p.add_argument("--seed", type=int, default=0)
     _add_walk_args(p)

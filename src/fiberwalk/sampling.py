@@ -116,6 +116,8 @@ class SamplerConfig:
             raise ValueError(f"unknown sampler kind {self.kind!r}; expected one of {KINDS}")
         if self.kind == "external" and not self.command_template:
             raise ValueError("external sampler needs a command_template")
+        if self.timeout is not None and not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout:g}")
 
     def summary(self) -> str:
         if self.kind == "external":

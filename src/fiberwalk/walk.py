@@ -8,12 +8,15 @@ assumed-uniform law, so both step kinds share one acceptance ratio:
 
     r(u, v) = min{1, prod_i u_i! / v_i!}
 
-evaluated in log-gamma space.  Every step appends the running p-value
-estimate p_i = hits/i, where a hit is a state whose statistic is at
-least ``hit_cut(observed)``: the observed value less a relative 1e-7,
-the rule exact enumeration uses, so states tied with the observed
-table up to rounding count as hits.  The cut is computed once per run;
-``RunRecord.threshold`` keeps the observed value.
+evaluated from log-factorials tabulated once per run, or filled on
+first use when the cell bound exceeds max(N, 2^16).  Each step records
+whether its state is a hit: its statistic is at least
+``hit_cut(observed)``, the observed value less a relative 1e-7 (the
+rule exact enumeration uses, so ties up to rounding are hits).  The
+hit flag travels with the state, so the hit cache is read only on
+acceptance; the finished record turns hits into p_i = hits/i.  The
+cut is computed once per run; ``RunRecord.threshold`` keeps the
+observed value.
 
 Schedules: MovesOnly, SatOnly, Alternating(n) (step t is a SAT-step
 iff t mod n = 0) and ParallelStarts(n, k) (k sub-walks started from k
@@ -21,8 +24,11 @@ SAT draws; one sub-walk is chosen uniformly and advanced n move-steps
 at a time; only move-steps count toward N, and the k initial draws are
 the scheme's k SAT-steps).  The schedule alone fixes each step's kind,
 so the record's kinds and step counts are derived from it, not counted.
+Move steps run in one loop per run of them: n - 1 before each SAT step
+of Alternating(n), then the tail; all N of MovesOnly; one run per pick
+of ParallelStarts.
 
-The walk draws from streams (generators).  SAT proposals are sampler
+The walk draws from streams (iterators).  SAT proposals are sampler
 batches, each seeded from the scheduler stream ``make_rng(seed, 0)``,
 which also picks the ParallelStarts sub-walks.  Sub-walk w (1 for a
 single walk) draws moves, signs and acceptance uniforms 8,192 at a time
@@ -33,14 +39,15 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import chain
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .encode import CNFEncoding, encode_fiber
+from .encode import CNFEncoding, cell_value_bound, encode_fiber
 from .enumeration import (
-    FULL_FIBER_CAP, enumerate_fiber, hit_cut, log_rho_unnormalized, rho_weights,
+    FULL_FIBER_CAP, enumerate_fiber, hit_cut, rho_weights,
 )
 from .models import FiberSpec, Table
 from .moves import MoveSet
@@ -171,33 +178,38 @@ class RunRecord:
 
 
 class _Recorder:
-    __slots__ = ("p_seq", "acc", "hits", "i", "stat", "threshold", "cut", "hit_cache", "counts")
+    """The run's two N-length buffers and their memoryviews: ``p_seq``
+    holds each step's hit (0.0 or 1.0) until ``_finish`` makes it p_i,
+    ``acc`` the accepted flags."""
+
+    __slots__ = ("p_seq", "acc", "p", "flags", "i", "stat", "threshold", "cut", "hit_cache",
+                 "counts")
 
     def __init__(self, n: int, stat, threshold: float, count_states: bool):
         self.p_seq = np.empty(n, dtype=np.float64)
         self.acc = np.zeros(n, dtype=np.bool_)
-        self.hits = 0
+        self.p = memoryview(self.p_seq)
+        self.flags = memoryview(self.acc)
         self.i = 0
         self.stat = stat
         self.threshold = threshold
         self.cut = hit_cut(threshold)
-        self.hit_cache: dict[tuple[int, ...], int] = {}
+        self.hit_cache: dict[tuple[int, ...], float] = {}
         self.counts: dict[tuple[int, ...], int] | None = {} if count_states else None
 
-    def record(self, accepted: bool, cur_t: tuple[int, ...]) -> None:
-        hit = self.hit_cache.get(cur_t)
+    def hit(self, cells: tuple[int, ...]) -> float:
+        hit = self.hit_cache.get(cells)
         if hit is None:
-            hit = 1 if self.stat(cur_t) >= self.cut else 0
-            self.hit_cache[cur_t] = hit
-        i = self.i
-        self.hits += hit
-        self.p_seq[i] = self.hits / (i + 1)
-        if accepted:
-            self.acc[i] = True
-        counts = self.counts
-        if counts is not None:
-            counts[cur_t] = counts.get(cur_t, 0) + 1
-        self.i = i + 1
+            hit = self.hit_cache[cells] = 1.0 if self.stat(cells) >= self.cut else 0.0
+        return hit
+
+
+class _LogFactorials(dict):
+    """lgamma(c + 1) by cell value c, computed on first use."""
+
+    def __missing__(self, c: int) -> float:
+        v = self[c] = math.lgamma(c + 1)
+        return v
 
 
 def _proposals(
@@ -217,71 +229,80 @@ def _proposals(
 
 
 def _moves(rng: np.random.Generator, signed: list) -> Iterator[tuple]:
-    """Uniform move proposals: ``signed[k][b]`` is move k's support with
-    its deltas negated (b = 0) or as given (b = 1)."""
-    while True:
-        picks = rng.integers(0, len(signed), size=_CHUNK).tolist()
-        signs = rng.integers(0, 2, size=_CHUNK).tolist()
-        for k, b in zip(picks, signs):
-            yield signed[k][b]
+    """Uniform move proposals: ``signed[2k + b]`` is move k's (cell,
+    delta) pairs with its deltas negated (b = 0) or as given (b = 1)."""
+
+    def chunk():
+        picks = rng.integers(0, len(signed) // 2, size=_CHUNK)
+        return map(signed.__getitem__, (2 * picks + rng.integers(0, 2, size=_CHUNK)).tolist())
+
+    return chain.from_iterable(iter(chunk, None))
 
 
 def _uniforms(rng: np.random.Generator) -> Iterator[float]:
-    while True:
-        yield from rng.random(_CHUNK).tolist()
+    return chain.from_iterable(iter(lambda: rng.random(_CHUNK).tolist(), None))
 
 
 class _Walk:
-    """Hot-loop state of one sub-walk: current cells as a mutable list,
-    cached log-weight, and its move and uniform streams, both drawn
-    from the sub-walk's own generator."""
+    """One sub-walk: its cells as a mutable list and a tuple, hit flag,
+    log-weight, the run's log-factorial table ``lf``, and move and
+    uniform streams drawn from the sub-walk's own generator."""
 
-    __slots__ = ("cur", "cur_t", "logw", "moves", "unif")
+    __slots__ = ("cur", "cur_t", "hit", "logw", "lf", "moves", "unif")
 
-    def __init__(self, start: Table, rng: np.random.Generator, signed: list | None):
+    def __init__(self, start: Table, rng, signed: list | None, lf: list, rec: _Recorder):
         self.cur = list(start.cells)
         self.cur_t = start.cells
-        self.logw = log_rho_unnormalized(start.cells)
+        self.hit = rec.hit(start.cells)
+        self.logw = -sum(map(lf.__getitem__, start.cells))
+        self.lf = lf
         self.moves = _moves(rng, signed)
         self.unif = _uniforms(rng)
 
-    def move_step(self, rec: _Recorder) -> None:
-        support, deltas = next(self.moves)
-        cur = self.cur
-        s = 0.0
-        lg = math.lgamma
-        accepted = False
-        for j, dl in zip(support, deltas):
-            c = cur[j]
-            nv = c + dl
-            if nv < 0:
-                break  # off the orthant: a self-loop, no uniform drawn
-            s += lg(c + 1) - lg(nv + 1)
-        else:
-            # s >= 0 first: math.exp overflows above 709
-            u = next(self.unif)
-            if s >= 0 or u < math.exp(s):
-                for j, dl in zip(support, deltas):
-                    cur[j] += dl
-                self.cur_t = tuple(cur)
-                self.logw += s  # log rho only shifts by the support terms
-                accepted = True
-        rec.record(accepted, self.cur_t)
+    def move_steps(self, count: int, rec: _Recorder) -> None:
+        """Advance by ``count`` move proposals in one frame."""
+        cur, cur_t, hit, logw, lf = self.cur, self.cur_t, self.hit, self.logw, self.lf
+        unif, exp = self.unif, math.exp
+        p, flags, counts = rec.p, rec.flags, rec.counts
+        first = rec.i
+        for i, pairs in zip(range(first, first + count), self.moves):
+            s = 0.0
+            for j, dl in pairs:
+                c = cur[j]
+                nv = c + dl
+                if nv < 0:
+                    break  # off the orthant: a self-loop, no uniform drawn
+                s += lf[c] - lf[nv]
+            else:
+                # s >= 0 first: math.exp overflows above 709
+                u = next(unif)
+                if s >= 0 or u < exp(s):
+                    for j, dl in pairs:
+                        cur[j] += dl
+                    cur_t = tuple(cur)
+                    hit = rec.hit(cur_t)
+                    logw += s  # log rho only shifts by the support terms
+                    flags[i] = True
+            p[i] = hit
+            if counts is not None:
+                counts[cur_t] = counts.get(cur_t, 0) + 1
+        rec.i = first + count
+        self.cur_t, self.hit, self.logw = cur_t, hit, logw
 
-    def sat_step(self, proposal: Table, logw_cache: dict, rec: _Recorder) -> None:
+    def sat_step(self, proposal: Table, rec: _Recorder) -> None:
         p_cells = proposal.cells
-        lw = logw_cache.get(p_cells)
-        if lw is None:
-            lw = log_rho_unnormalized(p_cells)
-            logw_cache[p_cells] = lw
+        lw = -sum(map(self.lf.__getitem__, p_cells))
         s = lw - self.logw  # log rho(v) - log rho(u)
         u = next(self.unif)
-        accepted = s >= 0 or u < math.exp(s)
-        if accepted:
-            self.cur = list(p_cells)
-            self.cur_t = p_cells
-            self.logw = lw
-        rec.record(accepted, self.cur_t)
+        i = rec.i
+        if s >= 0 or u < math.exp(s):
+            self.cur, self.cur_t, self.logw = list(p_cells), p_cells, lw
+            self.hit = rec.hit(p_cells)
+            rec.flags[i] = True
+        rec.p[i] = self.hit
+        if rec.counts is not None:
+            rec.counts[self.cur_t] = rec.counts.get(self.cur_t, 0) + 1
+        rec.i = i + 1
 
 
 def _check_moves(moves: MoveSet | None, spec: FiberSpec) -> list:
@@ -294,10 +315,8 @@ def _check_moves(moves: MoveSet | None, spec: FiberSpec) -> list:
     for k, mv in enumerate(moves):
         if any(j in zeros for j in mv.support):
             raise ValueError(f"move {k} touches a structural zero cell")
-    return [
-        ((mv.support, tuple(-dl for dl in mv.deltas)), (mv.support, mv.deltas))
-        for mv in moves
-    ]
+    return [tuple(zip(mv.support, [sign * dl for dl in mv.deltas]))
+            for mv in moves for sign in (-1, 1)]
 
 
 def run_walk(
@@ -325,6 +344,11 @@ def run_walk(
     threshold = float(stat(u_obs.cells))
 
     signed = None if isinstance(schedule, SatOnly) else _check_moves(moves, spec)
+    # a support cell may pass the bound before a later one goes negative
+    top = cell_value_bound(spec) + max((dl for mv in signed or () for _, dl in mv), default=0)
+    # tabulate only when that costs no more than the walk's own steps
+    lf = ([math.lgamma(c + 1) for c in range(top + 1)] if top <= max(N, 1 << 16)
+          else _LogFactorials())
     # single walks: step t is a SAT step iff period divides t
     if isinstance(schedule, (MovesOnly, ParallelStarts)):
         period = 0
@@ -346,22 +370,19 @@ def run_walk(
             starts = [next(feed) for _ in range(k)]
         except SamplerError as exc:
             return _finish(rec, spec, u_obs, [], 0, 0, str(exc))
-        walks = [_Walk(s, make_rng(seed, 1 + w), signed) for w, s in enumerate(starts)]
+        walks = [_Walk(s, make_rng(seed, 1 + w), signed, lf, rec) for w, s in enumerate(starts)]
         for pick, done in zip(picks, range(0, N, n)):
-            step = walks[pick].move_step
-            for _ in range(min(n, N - done)):
-                step(rec)
+            walks[pick].move_steps(min(n, N - done), rec)
         return _finish(rec, spec, u_obs, [w.cur_t for w in walks], 0, k, None)
 
-    walk = _Walk(u_obs, make_rng(seed, 1), signed)
-    logw_cache: dict[tuple[int, ...], float] = {}
+    walk = _Walk(u_obs, make_rng(seed, 1), signed, lf, rec)
     reason = None
     try:
-        for t in range(1, N + 1):
-            if period and t % period == 0:
-                walk.sat_step(next(feed), logw_cache, rec)
-            else:
-                walk.move_step(rec)
+        # runs of period - 1 move steps, each followed by a SAT step
+        for _ in range(N // period if period else 0):
+            walk.move_steps(period - 1, rec)
+            walk.sat_step(next(feed), rec)
+        walk.move_steps(N % period if period else N, rec)
     except SamplerError as exc:
         reason = str(exc)
     return _finish(rec, spec, u_obs, [walk.cur_t], period, 0, reason)
@@ -370,8 +391,17 @@ def run_walk(
 def _finish(rec, spec, u_obs, final_cells, period, initial_draws, reason) -> RunRecord:
     """The record of ``rec.i`` steps; with a period, step t was a SAT
     step iff period divides t.  A run that aborted at SAT step t stopped
-    after t - 1 steps, so the counts hold for aborted runs too."""
+    after t - 1 steps, so the counts hold for aborted runs too.  The hits
+    in ``p_seq`` become p_i = hits_i / i in place, by chunks; counts are
+    exact in float64, so each quotient has the bits of int / int."""
     steps = rec.i
+    hits = 0.0
+    for a in range(0, steps, _CHUNK):
+        part = rec.p_seq[a:min(a + _CHUNK, steps)]
+        np.cumsum(part, out=part)
+        part += hits
+        hits = float(part[-1])
+        part /= np.arange(a + 1, a + 1 + len(part), dtype=np.float64)
     kind = np.zeros(steps, dtype=np.uint8)
     sat = 0
     if period:
@@ -382,7 +412,7 @@ def _finish(rec, spec, u_obs, final_cells, period, initial_draws, reason) -> Run
         p_sequence=rec.p_seq[:steps],
         accepted=rec.acc[:steps],
         proposal_kind=kind,
-        hits=rec.hits,
+        hits=int(hits),
         steps=steps,
         sat_steps=initial_draws + sat,
         move_steps=steps - sat,

@@ -168,6 +168,15 @@ source = cycle
     assert cfg.move_source == "cycle"
 
 
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+def test_parse_config_refuses_a_timeout_not_above_zero(tmp_path, timeout):
+    path = tmp_path / "exp.ini"
+    path.write_text("[experiment]\nmodel = independence\nshape = 2, 2\nn = 4\n\n"
+                    f"[sampler]\nkind = external\ncommand = cat {{cnf}}\ntimeout = {timeout}\n")
+    with pytest.raises(ValueError, match="timeout must be > 0"):
+        parse_config(path)
+
+
 def test_parse_config_requires_experiment_core(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[experiment]\nmodel = independence\n")

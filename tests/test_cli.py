@@ -204,8 +204,17 @@ def test_bench_warns_about_unconverged_fits(tmp_path, capsys):
         (("test", "--exact-cap", "-3"), "argument --exact-cap: must be >= 0, got -3"),
         (("diagnose", "--draws", "-5"), "argument --draws: must be >= 1, got -5"),
         (("diagnose", "--draws", "0"), "argument --draws: must be >= 1, got 0"),
+        (("test", "--steps", "-5"), "argument --steps: must be >= 1, got -5"),
+        (("test", "--schedule", "alternating", "--period", "0"),
+         "argument --period: must be >= 1, got 0"),
+        (("test", "--schedule", "parallel-starts", "--walks", "0"),
+         "argument --walks: must be >= 1, got 0"),
+        (("test", "--sampler", "external", "--sampler-command", "true", "--timeout", "-1"),
+         "argument --timeout: must be > 0, got -1"),
+        (("diagnose", "--timeout", "0"), "argument --timeout: must be > 0, got 0"),
     ],
-    ids=["cap", "exact-cap", "draws-negative", "draws-zero"],
+    ids=["cap", "exact-cap", "draws-negative", "draws-zero", "steps", "period", "walks",
+         "test-timeout", "diagnose-timeout"],
 )
 def test_out_of_range_counts_are_usage_errors(argv, message, readme_table, capsys):
     command, *rest = argv

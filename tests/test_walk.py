@@ -12,17 +12,29 @@ least the observed one less a relative 1e-7, so ties survive rounding.
 import hashlib
 import io
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from fiberwalk.encode import cell_value_bound, encode_fiber
+from fiberwalk.enumeration import hit_cut
 from fiberwalk.mle import ChiSquare, fit_loglinear
-from fiberwalk.models import Independence, NoThreeWay, Table, fiber_spec_from_observation
-from fiberwalk.moves import basic_moves_n3f, basic_moves_two_way
+from fiberwalk.models import (
+    Independence,
+    NoThreeWay,
+    QuasiIndependence,
+    Table,
+    fiber_spec_from_observation,
+    unflatten_index,
+)
+from fiberwalk.moves import basic_moves_n3f, basic_moves_two_way, cycle_moves, load_basis
 from fiberwalk.sampling import (
     InternalBiasedSampler,
     InternalUniformSampler,
+    SamplerError,
     SamplerExitError,
     make_rng,
 )
@@ -30,6 +42,7 @@ from fiberwalk.walk import (
     Alternating,
     MovesOnly,
     ParallelStarts,
+    RunRecord,
     SatOnly,
     acceptance_ratio,
     empirical_tv,
@@ -295,7 +308,7 @@ def record_digest(rec) -> str:
     return h.hexdigest()
 
 
-def _golden_run(case):
+def _golden_run(case, walker=run_walk):
     if case.startswith("n3f"):
         u = Table((1, 0, 2, 1, 1, 0, 0, 1, 1, 2, 0, 1, 0, 1, 1, 1, 0, 0,
                    0, 2, 0, 1, 0, 1, 1, 0, 1), (3, 3, 3))
@@ -318,7 +331,7 @@ def _golden_run(case):
         "fail-after-3": FailingSampler(per_call=7, calls=3),
         "fail-at-once": FailingSampler(per_call=7, calls=0),
     }[sampler_name]
-    return run_walk(spec, u, schedule, moves, sampler, 3000, stat, seed=19)
+    return walker(spec, u, schedule, moves, sampler, 3000, stat, seed=19)
 
 
 GOLDEN_RECORDS = {
@@ -353,3 +366,255 @@ def test_sat_proposal_past_the_exp_range_is_accepted():
     rec = run_walk(spec, u, SatOnly(), None, InternalUniformSampler(), 50, count_stat, seed=1)
     assert rec.steps == 50 and not rec.aborted
     assert rec.accepted[0]
+
+
+# -- a per-step reference walker: run_walk must match it field by field
+
+
+def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_states=False):
+    """Plain Metropolis-Hastings, one proposal per step, on the streams
+    run_walk documents: ``math.lgamma`` per cell, the statistic for
+    every recorded step, and p_i = hits / i as a Python division."""
+    threshold = float(stat(u_obs.cells))
+    cut = hit_cut(threshold)
+    lg = math.lgamma
+    if isinstance(schedule, (MovesOnly, ParallelStarts)):
+        period = 0
+    else:
+        period = 1 if isinstance(schedule, SatOnly) else schedule.n
+    sched_rng = make_rng(seed, 0)
+    encoding = encode_fiber(spec)
+    chunk = min(max(1, N // period), 8192) if period else getattr(schedule, "k", 1)
+
+    def proposals():
+        while True:
+            for _ in range(16):
+                batch = sampler.sample(encoding, chunk, int(sched_rng.integers(1 << 62)))
+                if batch:
+                    break
+            else:
+                raise SamplerError("sampler repeatedly returned no valid elements")
+            yield from batch
+
+    def move_stream(rng):
+        while True:
+            picks = rng.integers(0, len(moves), size=8192).tolist()
+            signs = rng.integers(0, 2, size=8192).tolist()
+            for k, b in zip(picks, signs):
+                mv = moves[k]
+                yield mv.support, tuple(dl if b else -dl for dl in mv.deltas)
+
+    def uniform_stream(rng):
+        while True:
+            yield from rng.random(8192).tolist()
+
+    class Walker:
+        """The current state and its log-weight, which a move shifts by
+        the support terms and a SAT step replaces."""
+
+        def __init__(self, start, rng):
+            self.cur = list(start.cells)
+            self.logw = -sum(lg(c + 1) for c in self.cur)
+            self.moves = move_stream(rng)
+            self.unif = uniform_stream(rng)
+
+        def move_step(self):
+            support, deltas = next(self.moves)
+            new = list(self.cur)
+            for j, dl in zip(support, deltas):
+                new[j] += dl
+                if new[j] < 0:
+                    return False  # a self-loop that draws no uniform
+            s = sum(lg(self.cur[j] + 1) - lg(new[j] + 1) for j in support)
+            return self.accept(s, new, self.logw + s)
+
+        def sat_step(self, proposal):
+            lw = -sum(lg(c + 1) for c in proposal.cells)
+            return self.accept(lw - self.logw, list(proposal.cells), lw)
+
+        def accept(self, s, new, logw):
+            u = next(self.unif)
+            if s >= 0 or u < math.exp(s):
+                self.cur, self.logw = new, logw
+                return True
+            return False
+
+    p_seq, accepted, kinds, counts = [], [], [], {}
+    hits = 0
+
+    def record(acc, cells, kind):
+        nonlocal hits
+        hits += stat(cells) >= cut
+        p_seq.append(hits / (len(p_seq) + 1))
+        accepted.append(acc)
+        kinds.append(kind)
+        counts[cells] = counts.get(cells, 0) + 1
+
+    feed = None if isinstance(schedule, MovesOnly) else proposals()
+    reason, walkers, initial = None, [], 0
+    try:
+        if isinstance(schedule, ParallelStarts):
+            picks = sched_rng.integers(0, schedule.k, size=-(-N // schedule.n)).tolist()
+            starts = [next(feed) for _ in range(schedule.k)]
+            initial = schedule.k
+            walkers = [Walker(s, make_rng(seed, 1 + w)) for w, s in enumerate(starts)]
+            for pick in picks:
+                for _ in range(min(schedule.n, N - len(p_seq))):
+                    w = walkers[pick]
+                    record(w.move_step(), tuple(w.cur), 0)
+        else:
+            walkers = [Walker(u_obs, make_rng(seed, 1))]
+            w = walkers[0]
+            for t in range(1, N + 1):
+                if period and t % period == 0:
+                    record(w.sat_step(next(feed)), tuple(w.cur), 1)
+                else:
+                    record(w.move_step(), tuple(w.cur), 0)
+    except SamplerError as exc:
+        reason = str(exc)
+    sat = sum(kinds)
+    return RunRecord(
+        p_sequence=np.array(p_seq, dtype=np.float64),
+        accepted=np.array(accepted, dtype=np.bool_),
+        proposal_kind=np.array(kinds, dtype=np.uint8),
+        hits=int(hits),
+        steps=len(p_seq),
+        sat_steps=initial + sat,
+        move_steps=len(p_seq) - sat,
+        threshold=threshold,
+        finals=tuple(Table(tuple(w.cur), spec.shape) for w in walkers) or (u_obs,),
+        state_counts=counts if count_states else None,
+        aborted=reason is not None,
+        abort_reason=reason,
+    )
+
+
+def assert_same_record(got, want):
+    for name in ("p_sequence", "accepted", "proposal_kind"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("hits", "steps", "sat_steps", "move_steps", "threshold", "finals",
+                 "state_counts", "aborted", "abort_reason"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert type(got.hits) is int
+
+
+def weighted_squares(cells):
+    """A statistic with many ties, so hits and misses both occur."""
+    return float(sum((j % 3 + 1) * c * c for j, c in enumerate(cells)))
+
+
+@st.composite
+def two_way_fibers(draw):
+    """A small two-way observation, possibly with structural zeros, and
+    a move set that avoids them."""
+    shape = (draw(st.integers(2, 3)), draw(st.integers(2, 3)))
+    d = shape[0] * shape[1]
+    zeros = draw(st.sets(st.integers(0, d - 1), max_size=2))
+    cells = [0 if j in zeros else draw(st.integers(0, 3)) for j in range(d)]
+    u = Table(tuple(cells), shape)
+    if zeros:
+        model = QuasiIndependence(shape, [unflatten_index(j, shape) for j in zeros])
+        moves = cycle_moves(shape, zeros)
+    else:
+        model, moves = Independence(shape), basic_moves_two_way(shape)
+    assume(len(moves))
+    return fiber_spec_from_observation(model, u), u, moves
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    two_way_fibers(),
+    st.sampled_from(["moves-only", "sat-only", "alternating", "parallel-starts"]),
+    st.integers(1, 5),
+    st.integers(1, 3),
+    st.integers(1, 120),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 3)),
+    st.integers(0, 10**6),
+)
+def test_run_walk_matches_the_reference_walker(fiber, kind, period, walks, N, count_states,
+                                               fail_at, seed):
+    """Every field of the record equals the per-step walker's, across
+    schedules, step counts off the period, state counting on and off,
+    and a sampler that fails on its (fail_at + 1)-th call."""
+    spec, u, moves = fiber
+    schedule = make_schedule(kind, period, walks)
+
+    def sampler():
+        if fail_at is None:
+            return InternalUniformSampler()
+        return FailingSampler(per_call=3, calls=fail_at)
+
+    got = run_walk(spec, u, schedule, moves, sampler(), N, weighted_squares, seed,
+                   count_states=count_states)
+    want = reference_walk(spec, u, schedule, moves, sampler(), N, weighted_squares, seed,
+                          count_states=count_states)
+    assert_same_record(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RECORDS))
+def test_golden_runs_match_the_reference_walker(case):
+    """The pinned runs, on the chi-square statistic, equal the per-step
+    walker's."""
+    assert_same_record(_golden_run(case), _golden_run(case, reference_walk))
+
+
+def test_move_past_the_cell_bound_before_an_orthant_exit_is_a_self_loop(tmp_path):
+    """A +-2 move from 2 0 0 2 first raises cell 0 to 4, past
+    ``cell_value_bound`` (2), and only then takes cell 1 below zero: the
+    proposal is a self-loop, not an index past the log-factorial table."""
+    u = Table((2, 0, 0, 2), (2, 2))
+    spec = fiber_spec_from_observation(Independence((2, 2)), u)
+    assert cell_value_bound(spec) == 2
+    path = tmp_path / "twos.txt"
+    path.write_text("2 -2 -2 2\n")
+    moves = load_basis(path, spec.matrix)
+    rec = run_walk(spec, u, MovesOnly(), moves, None, 200, count_stat, seed=6, count_states=True)
+    assert set(rec.state_counts) == {(2, 0, 0, 2), (0, 2, 2, 0)}
+    assert not rec.accepted.all()
+    assert_same_record(rec, reference_walk(spec, u, MovesOnly(), moves, None, 200, count_stat,
+                                           seed=6, count_states=True))
+
+
+def test_recording_memory_is_two_buffers_per_step():
+    """Between N = 200k and N = 400k the run's peak grows by the float64
+    p-sequence, the accepted flags and the step kinds (8 + 1 + 1 bytes a
+    step), with under half a byte a step of slack: no per-step Python
+    objects, growing buffers or full-length temporaries."""
+    sam = InternalUniformSampler()
+    run_walk(SPEC, U0, Alternating(10), MOVES, sam, 100, count_stat, seed=1)  # fill the cache
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            rec = run_walk(SPEC, U0, Alternating(10), MOVES, sam, n, count_stat, seed=1)
+            return tracemalloc.get_traced_memory()[1], rec
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(200_000)
+    large, rec = peak(400_000)
+    assert rec.steps == 400_000
+    assert (large - small) / 200_000 <= 10.5
+
+
+def test_short_walk_on_a_large_table_costs_what_its_steps_cost():
+    """On a table of total 10^7 the cell bound is 5 * 10^6; a 1,000-step
+    walk must not tabulate log-factorials that far (160 MB and over a
+    second), so it stays within a few MB and well under a second."""
+    u = Table((5_000_000, 0, 0, 5_000_000), (2, 2))
+    spec = fiber_spec_from_observation(Independence((2, 2)), u)
+    walk = (spec, u, MovesOnly(), MOVES, None, 1000, count_stat)
+    start = time.perf_counter()
+    rec = run_walk(*walk, seed=3)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        run_walk(*walk, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 2_000_000
+    assert_same_record(rec, reference_walk(*walk, seed=3))
