@@ -21,6 +21,7 @@ than silently thinned.
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import subprocess
 import tempfile
@@ -135,23 +136,38 @@ def build_sampler(config: SamplerConfig) -> "FiberSampler":
     return InternalUniformSampler()
 
 
+_PIECE = re.compile(r"[^\n]+")
+
+
 def _parse_solutions(text: str) -> list[list[int]]:
     """Solution literals from sampler output: lines of integers
     terminated by 0, with or without a leading ``v``; 0 splits
-    solutions even across lines."""
+    solutions even across lines.
+
+    A sampler repeats lines, so each distinct line is converted once.
+    A line holding exactly one solution, met with nothing pending,
+    yields the list converted at its first occurrence and a copy of it
+    at every repeat.  The output is read one line at a time, so
+    repeated lines cost no more memory than the solutions returned.
+    Each solution is a distinct list.
+    """
     solutions: list[list[int]] = []
     pending: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line[0] in "vV" and (len(line) == 1 or line[1].isspace()):
-            line = line[1:]
-        elif not (line[0].isdigit() or line[0] == "-"):
-            continue  # banner/comment line
-        try:
-            lits = [int(t) for t in line.split()]
-        except ValueError:
+    seen: dict[str, tuple[list[int] | None, list[int] | None]] = {}
+    for match in _PIECE.finditer(text):
+        piece = match[0]
+        entry = seen.get(piece)
+        repeat = entry is not None
+        if not repeat:
+            entry = seen[piece] = _line_literals(piece)
+        solution, lits = entry
+        if solution is not None:
+            if pending:
+                pending.extend(solution)
+                solutions.append(pending)
+                pending = []
+            else:
+                solutions.append(solution.copy() if repeat else solution)
             continue
         for lit in lits:
             if lit == 0:
@@ -163,6 +179,31 @@ def _parse_solutions(text: str) -> list[list[int]]:
     if pending:
         solutions.append(pending)
     return solutions
+
+
+def _line_literals(piece: str) -> tuple[list[int] | None, list[int] | None]:
+    """``(solution, None)`` when a newline-free piece of sampler output
+    holds exactly one 0-terminated solution, else ``(None, literals)``.
+    The piece is split into lines as ``str.splitlines`` does; a banner
+    or comment line, or one holding a token that is not an integer,
+    adds no literals."""
+    lits: list[int] = []
+    for raw in piece.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] in "vV" and (len(line) == 1 or line[1].isspace()):
+            line = line[1:]
+        elif not (line[0].isdigit() or line[0] == "-"):
+            continue  # banner/comment line
+        try:
+            lits.extend([int(t) for t in line.split()])
+        except ValueError:
+            continue
+    if len(lits) > 1 and lits[-1] == 0 and lits.count(0) == 1:
+        lits.pop()
+        return lits, None
+    return None, lits
 
 
 def _fiber_member(encoding: CNFEncoding, lits: list[int]) -> Table | None:

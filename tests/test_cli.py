@@ -434,6 +434,25 @@ def test_enumerate_cnf_rejects_fiber_flags(flags, named, tmp_path, table_file, c
 
 
 @pytest.mark.parametrize(
+    "dimacs, want",
+    [
+        # variable 3 lies outside the sampling set and is left free,
+        # so decided, under projections (1, 2) and (-1, 2); each
+        # projection counts once
+        ("p cnf 3 2\nc ind 1 2 0\n1 2 0\n2 3 -1 0\n", "count: 3\n"),
+        # a one-variable sampling set blocks with one-literal clauses
+        ("p cnf 2 1\nc ind 1 0\n1 2 0\n", "count: 2\n"),
+    ],
+    ids=["decided-auxiliary", "one-literal-projection"],
+)
+def test_enumerate_cnf_counts_distinct_projections(dimacs, want, tmp_path, capsys):
+    path = tmp_path / "f.cnf"
+    path.write_text(dimacs)
+    assert run_cli("enumerate", "--cnf", str(path), "--count-only") == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize(
     "cap, want",
     [
         ([], "count: 55\n"),

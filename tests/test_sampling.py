@@ -7,10 +7,12 @@ lines from stdout.  Every failure mode gets its own exception type so
 callers can tell a crashed sampler from one that emits garbage.
 """
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fiberwalk.encode import CNFEncoding, encode_fiber
 from fiberwalk.enumeration import enumerate_fiber
@@ -25,6 +27,7 @@ from fiberwalk.sampling import (
     SamplerOutputError,
     SamplerTimeoutError,
     SamplerValidityError,
+    _parse_solutions,
     build_sampler,
     make_rng,
 )
@@ -52,6 +55,93 @@ def solution_script(tmp_path, name, lines):
 
 def lits_line(enc, table):
     return "v " + " ".join(str(v) for v in enc.encode_table(table)) + " 0"
+
+
+# -- the output parser
+
+
+def reference_parse(text):
+    """The line-at-a-time parser that ``_parse_solutions`` must agree
+    with: every line converted on its own."""
+    solutions, pending = [], []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] in "vV" and (len(line) == 1 or line[1].isspace()):
+            line = line[1:]
+        elif not (line[0].isdigit() or line[0] == "-"):
+            continue
+        try:
+            lits = [int(t) for t in line.split()]
+        except ValueError:
+            continue
+        for lit in lits:
+            if lit == 0:
+                if pending:
+                    solutions.append(pending)
+                    pending = []
+            else:
+                pending.append(lit)
+    if pending:
+        solutions.append(pending)
+    return solutions
+
+
+TOKENS = st.one_of(
+    st.just("0"),
+    st.integers(min_value=-400, max_value=400).map(str),
+    st.sampled_from(["x", "1a", "+3", "--2", "v", "c", "0x1", "\t7"]),
+)
+LINES = st.one_of(
+    st.lists(TOKENS, max_size=8).map(" ".join),
+    st.lists(TOKENS, max_size=8).map(lambda ts: "v " + " ".join(ts)),
+    st.lists(TOKENS, max_size=8).map(lambda ts: "V\t" + " ".join(ts)),
+    st.sampled_from(["c banner", "s SATISFIABLE", "", "   ", "v", "c ind 1 2 0", "vv 1 0"]),
+)
+
+
+@st.composite
+def sampler_outputs(draw):
+    distinct = draw(st.lists(LINES, min_size=1, max_size=8))
+    picks = draw(st.lists(st.sampled_from(distinct), max_size=40))
+    ends = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\n\n", "\x0c"])
+    text = "".join(line + draw(ends) for line in picks)
+    if draw(st.booleans()):
+        text += draw(LINES)  # an unterminated tail
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampler_outputs())
+def test_parse_solutions_matches_the_line_at_a_time_parser(text):
+    got = _parse_solutions(text)
+    assert got == reference_parse(text)
+    assert len({id(solution) for solution in got}) == len(got)
+
+
+def test_parse_memory_grows_with_distinct_lines_only():
+    """Repeats of one line share its converted literals: only the
+    returned lists are new."""
+    def line(k):
+        # literals past the small-int cache, so each conversion allocates
+        return "v " + " ".join(
+            str(-(1000 + i) if (k >> i) & 1 else 1000 + i) for i in range(81)
+        ) + " 0\n"
+
+    def peak(text):
+        tracemalloc.start()
+        try:
+            solutions = _parse_solutions(text)
+            return tracemalloc.get_traced_memory()[1], len(solutions)
+        finally:
+            tracemalloc.stop()
+
+    repeated, count = peak(line(0) * 8192)
+    assert count == 8192
+    distinct, count = peak("".join(line(k) for k in range(8192)))
+    assert count == 8192
+    assert repeated * 4 < distinct
 
 
 def test_make_rng_deterministic():
