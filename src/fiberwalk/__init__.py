@@ -83,8 +83,6 @@ from .mle import (
     FitResult,
     fit_loglinear,
     independence_fitted,
-    log_likelihood,
-    score,
 )
 from .walk import (
     Alternating,
@@ -92,7 +90,6 @@ from .walk import (
     ParallelStarts,
     RunRecord,
     SatOnly,
-    acceptance_ratio,
     connected_components_under_moves,
     empirical_tv,
     make_schedule,

@@ -550,7 +550,7 @@ def parse_config(path) -> ExperimentConfig:
             kind=kind,
             command_template=s.get("command", fallback=None) or None,
             timeout=timeout,
-            bias_strength=s.getfloat("bias_strength", fallback=0.0),
+            bias_strength=s.getfloat("bias_strength", fallback=SamplerConfig.bias_strength),
         )
 
     move_source, move_path = "basic", None

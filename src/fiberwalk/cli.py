@@ -138,7 +138,7 @@ def _add_sampler_args(p: argparse.ArgumentParser) -> None:
         "--sampler-command",
         help="external command template with {cnf} {count} {seed} placeholders",
     )
-    g.add_argument("--bias-strength", type=float, default=1.0)
+    g.add_argument("--bias-strength", type=float, default=SamplerConfig.bias_strength)
     g.add_argument("--timeout", type=_positive, default=None, help="seconds per external sampler call")
 
 
@@ -185,16 +185,9 @@ def _build_spec(args) -> tuple[FiberSpec, Table | None]:
     shape = tuple(args.shape)
     zeros_multi = _parse_zeros(args.zeros, shape)
     model = _make_model(args.model, shape, zeros_multi)
-    A = model_matrix(model)
-    if len(args.margins) != A.rows:
-        raise ValueError(
-            f"model has {A.rows} constraint rows, got {len(args.margins)} margins"
-        )
-    if any(b < 0 for b in args.margins):
-        raise ValueError("margins must be nonnegative")
     return (
         FiberSpec(
-            matrix=A,
+            matrix=model_matrix(model),
             margins=tuple(args.margins),
             structural_zeros=model_structural_zeros(model),
             shape=shape,

@@ -20,6 +20,7 @@ always-true literal, then the Tseitin auxiliaries.  The sampling set
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, TextIO
 
 from .models import FiberSpec, Table
@@ -231,20 +232,24 @@ class CNFEncoding:
                 lits.append(var if (c >> p) & 1 else -var)
         return tuple(lits)
 
-    def to_dimacs(self, sink: TextIO) -> None:
+    @cached_property
+    def _dimacs(self) -> str:
         l = self.bits_per_cell
         zeros = self.spec.zero_set()
-        sink.write(f"p cnf {self.num_vars} {len(self.clauses)}\n")
-        sink.write(f"c {l} bits per cell, LSB first\n")
+        lines = [f"p cnf {self.num_vars} {len(self.clauses)}", f"c {l} bits per cell, LSB first"]
         for j in range(self.spec.d):
             mark = " (structural zero)" if j in zeros else ""
-            sink.write(f"c cell {j} vars {j * l + 1}..{j * l + l}{mark}\n")
+            lines.append(f"c cell {j} vars {j * l + 1}..{j * l + l}{mark}")
         ids = list(self.sampling_vars)
         for k in range(0, len(ids), 10):
-            chunk = ids[k : k + 10]
-            sink.write("c ind " + " ".join(str(v) for v in chunk) + " 0\n")
-        for cl in self.clauses:
-            sink.write(" ".join(str(lit) for lit in cl) + " 0\n")
+            lines.append("c ind " + " ".join(str(v) for v in ids[k : k + 10]) + " 0")
+        lines.extend(" ".join(str(lit) for lit in cl) + " 0" for cl in self.clauses)
+        lines.append("")
+        return "\n".join(lines)
+
+    def to_dimacs(self, sink: TextIO) -> None:
+        """Write the DIMACS text, rendered on the first call."""
+        sink.write(self._dimacs)
 
 
 def encode_fiber(spec: FiberSpec) -> CNFEncoding:

@@ -1,12 +1,8 @@
 """Maximum-likelihood fitting and the conditional test statistic.
 
-The cell distribution is the softmax of A^T theta over the free cells,
-so the log-likelihood of a table u with n = sum(u) is
-
-    l(theta) = sum_i u_i log pi_theta(i),
-    grad l   = A (u - n pi_theta).
-
-The MLE is the distribution whose fitted margins A(n pi) equal the
+The fitted cell probabilities pi are zero on structural zeros, and the
+MLE, which maximizes sum_i u_i log pi_i over the model for a table u
+with n = sum(u), is the pi whose fitted margins A(n pi) equal the
 observed ones, b = A u.  :func:`fit_loglinear` finds it by iterative
 proportional fitting (Deming & Stephan 1940): starting from a constant
 on the free cells, each sweep rescales the cells of every constraint
@@ -28,7 +24,6 @@ sweep reproduces; it is kept here as the cross-check route.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -38,8 +33,6 @@ from .models import ConstraintMatrix, Table
 
 __all__ = [
     "FitResult",
-    "log_likelihood",
-    "score",
     "fit_loglinear",
     "independence_fitted",
     "ChiSquare",
@@ -57,35 +50,6 @@ def _free_cells(d: int, zeros: Iterable[int]) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _cell_probs(theta: np.ndarray, A: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Softmax of (A^T theta) restricted to the free cells; full-length
-    vector, zero on structural zeros."""
-    eta = A[:, free].T @ theta
-    eta -= eta.max()
-    w = np.exp(eta)
-    pi = np.zeros(A.shape[1])
-    pi[free] = w / w.sum()
-    return pi
-
-
-def log_likelihood(theta, matrix: ConstraintMatrix, u: Table, zeros: Sequence[int] = ()) -> float:
-    free = _free_cells(matrix.cols, zeros)
-    pi = _cell_probs(np.asarray(theta, dtype=float), matrix.entries, free)
-    cells = np.asarray(u.cells, dtype=float)
-    positive = cells > 0
-    if (pi[positive] <= 0).any():
-        return -math.inf
-    return float(cells[positive] @ np.log(pi[positive]))
-
-
-def score(theta, matrix: ConstraintMatrix, u: Table, zeros: Sequence[int] = ()) -> np.ndarray:
-    """Gradient of the log-likelihood at theta."""
-    free = _free_cells(matrix.cols, zeros)
-    pi = _cell_probs(np.asarray(theta, dtype=float), matrix.entries, free)
-    cells = np.asarray(u.cells, dtype=float)
-    return matrix.entries @ (cells - u.n * pi)
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Fitted cell probabilities (zero on structural zeros and on cells
@@ -96,14 +60,6 @@ class FitResult:
     iterations: int
     discrepancy: float
     converged: bool
-
-    def report(self) -> str:
-        """Small text report for benchmark logs."""
-        status = "converged" if self.converged else "NOT CONVERGED"
-        return (
-            f"fit {status}: iterations={self.iterations} "
-            f"margin_discrepancy={self.discrepancy:.3e}"
-        )
 
 
 def fit_loglinear(matrix: ConstraintMatrix, u: Table, zeros: Sequence[int] = ()) -> FitResult:

@@ -110,7 +110,7 @@ class SamplerConfig:
     kind: str = "internal-uniform"
     command_template: str | None = None
     timeout: float | None = None
-    bias_strength: float = 0.0
+    bias_strength: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -224,6 +224,8 @@ class ExternalSampler:
     fiber membership check are dropped; more than 50% invalid is an
     error.  ``calls``, ``solutions`` and ``invalid`` count the launches,
     the parsed solutions and the dropped ones over the sampler's life.
+    Each call writes the DIMACS text to a temporary file for {cnf} and
+    removes it once the command has exited.
     """
 
     command: str
@@ -235,38 +237,32 @@ class ExternalSampler:
     def sample(self, encoding: CNFEncoding, count: int, seed: int) -> list[Table]:
         if count <= 0:
             return []
-        fd, path = tempfile.mkstemp(suffix=".cnf", prefix="fiber")
-        try:
-            with os.fdopen(fd, "w") as f:
-                encoding.to_dimacs(f)
-            return self.sample_file(encoding, path, count, seed)
-        finally:
-            os.unlink(path)
-
-    def sample_file(
-        self, encoding: CNFEncoding, cnf_path: str, count: int, seed: int
-    ) -> list[Table]:
-        """Like sample(), but against a CNF file already on disk."""
-        cmd = self.command.format(cnf=cnf_path, count=count, seed=seed)
         env = None
         if "{seed}" not in self.command:
             env = dict(os.environ)
             env[SEED_ENV_VAR] = str(seed)
-        self.calls += 1
+        fd, path = tempfile.mkstemp(suffix=".cnf", prefix="fiber")
         try:
-            proc = subprocess.run(
-                shlex.split(cmd),
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-                env=env,
-            )
-        except OSError as exc:
-            raise SamplerLaunchError(f"could not launch sampler: {exc}") from exc
-        except subprocess.TimeoutExpired as exc:
-            raise SamplerTimeoutError(
-                f"sampler timed out after {self.timeout}s"
-            ) from exc
+            with os.fdopen(fd, "w") as f:
+                encoding.to_dimacs(f)
+            cmd = self.command.format(cnf=path, count=count, seed=seed)
+            self.calls += 1
+            try:
+                proc = subprocess.run(
+                    shlex.split(cmd),
+                    capture_output=True,
+                    text=True,
+                    timeout=self.timeout,
+                    env=env,
+                )
+            except OSError as exc:
+                raise SamplerLaunchError(f"could not launch sampler: {exc}") from exc
+            except subprocess.TimeoutExpired as exc:
+                raise SamplerTimeoutError(
+                    f"sampler timed out after {self.timeout}s"
+                ) from exc
+        finally:
+            os.unlink(path)
         if proc.returncode != 0:
             raise SamplerExitError(
                 f"sampler exited with status {proc.returncode}: "
@@ -339,7 +335,7 @@ class InternalBiasedSampler(_EnumeratingSampler):
     """Exponentially tilted draw: weight exp(strength * u_first), where
     u_first is the first free cell.  strength = 0 recovers uniform."""
 
-    strength: float = 1.0
+    strength: float = SamplerConfig.bias_strength
 
     def _law(self, spec: FiberSpec, elements: tuple[Table, ...]) -> np.ndarray:
         zeros = spec.zero_set()

@@ -37,10 +37,9 @@ from ``make_rng(seed, w)``: a uniform for each proposal in the orthant.
 
 from __future__ import annotations
 
-import csv
 import math
 from itertools import chain
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -61,7 +60,6 @@ __all__ = [
     "Schedule",
     "SCHEDULE_KINDS",
     "make_schedule",
-    "acceptance_ratio",
     "RunRecord",
     "run_walk",
     "connected_components_under_moves",
@@ -120,27 +118,15 @@ def make_schedule(kind: str, period: int, walks: int) -> Schedule:
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
-def acceptance_ratio(u: Sequence[int] | Table, v: Sequence[int] | Table) -> float:
-    """min{1, prod u_i!/v_i!}, computed as exp(min(0, sum of log-gamma
-    differences)); exactly 1 when u = v."""
-    uc = u.cells if isinstance(u, Table) else tuple(u)
-    vc = v.cells if isinstance(v, Table) else tuple(v)
-    if len(uc) != len(vc):
-        raise ValueError("tables have different lengths")
-    s = 0.0
-    for a, b in zip(uc, vc):
-        if a != b:
-            s += math.lgamma(a + 1) - math.lgamma(b + 1)
-    return math.exp(s) if s < 0 else 1.0
-
-
 @dataclass
 class RunRecord:
     """Everything a finished (or aborted) run produced.
 
     ``p_sequence[i]`` is the estimate after step i+1; ``accepted`` and
-    ``proposal_kind`` (0 for move, 1 for SAT, as the schedule sets it)
-    are per recorded step.  ``sat_steps`` counts consumed SAT proposals
+    ``proposal_kind`` (0 for move, 1 for SAT) are per recorded step.
+    The schedule sets the kinds, so ``proposal_kind`` is built on read
+    from ``_period``: with a period, step t was a SAT step iff the
+    period divides t.  ``sat_steps`` counts consumed SAT proposals
     including the initial draws of ParallelStarts; ``move_steps``
     counts move proposals.  ``state_counts`` maps visited cell tuples
     to visit counts when requested.
@@ -148,7 +134,6 @@ class RunRecord:
 
     p_sequence: np.ndarray
     accepted: np.ndarray
-    proposal_kind: np.ndarray  # uint8: 0 move, 1 sat
     hits: int
     steps: int
     sat_steps: int
@@ -158,6 +143,7 @@ class RunRecord:
     state_counts: dict[tuple[int, ...], int] | None = None
     aborted: bool = False
     abort_reason: str | None = None
+    _period: int = field(default=0, repr=False)  # 0: no SAT steps after the start
 
     @property
     def p_final(self) -> float:
@@ -165,16 +151,13 @@ class RunRecord:
             return math.nan
         return float(self.p_sequence[self.steps - 1])
 
-    def to_csv(self, sink) -> None:
-        """Per-step CSV: step, p_value, accepted, proposal_kind."""
-        if not hasattr(sink, "write"):
-            with open(sink, "w", newline="") as f:
-                return self.to_csv(f)
-        w = csv.writer(sink, lineterminator="\n")
-        w.writerow(["step", "p_value", "accepted", "proposal_kind"])
-        kinds = ("move", "sat")
-        rows = zip(self.p_sequence.tolist(), self.accepted.tolist(), self.proposal_kind.tolist())
-        w.writerows((i, repr(p), int(a), kinds[k]) for i, (p, a, k) in enumerate(rows, 1))
+    @property
+    def proposal_kind(self) -> np.ndarray:
+        """uint8 per step: 0 move, 1 SAT."""
+        kind = np.zeros(self.steps, dtype=np.uint8)
+        if self._period:
+            kind[self._period - 1::self._period] = 1
+        return kind
 
 
 class _Recorder:
@@ -402,16 +385,11 @@ def _finish(rec, spec, u_obs, final_cells, period, initial_draws, reason) -> Run
         part += hits
         hits = float(part[-1])
         part /= np.arange(a + 1, a + 1 + len(part), dtype=np.float64)
-    kind = np.zeros(steps, dtype=np.uint8)
-    sat = 0
-    if period:
-        kind[period - 1::period] = 1
-        sat = steps // period
+    sat = steps // period if period else 0
     finals = tuple(Table(cells=c, shape=spec.shape) for c in final_cells)
     return RunRecord(
         p_sequence=rec.p_seq[:steps],
         accepted=rec.acc[:steps],
-        proposal_kind=kind,
         hits=int(hits),
         steps=steps,
         sat_steps=initial_draws + sat,
@@ -421,6 +399,7 @@ def _finish(rec, spec, u_obs, final_cells, period, initial_draws, reason) -> Run
         state_counts=rec.counts,
         aborted=reason is not None,
         abort_reason=reason,
+        _period=period,
     )
 
 

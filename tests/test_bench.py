@@ -25,7 +25,8 @@ from fiberwalk.bench import (
     round_largest_remainder,
     run_evaluation,
 )
-from fiberwalk.sampling import SamplerConfig
+from fiberwalk.cli import build_parser
+from fiberwalk.sampling import InternalBiasedSampler, SamplerConfig
 from fiberwalk.walk import Alternating, ParallelStarts
 
 
@@ -175,6 +176,19 @@ def test_parse_config_refuses_a_timeout_not_above_zero(tmp_path, timeout):
                     f"[sampler]\nkind = external\ncommand = cat {{cnf}}\ntimeout = {timeout}\n")
     with pytest.raises(ValueError, match="timeout must be > 0"):
         parse_config(path)
+
+
+def test_parse_config_biased_sampler_without_a_strength_is_biased(tmp_path):
+    """An internal-biased sampler with no bias_strength gets the one
+    default strength, which --bias-strength and the sampler share."""
+    path = tmp_path / "exp.ini"
+    path.write_text("[experiment]\nmodel = independence\nshape = 2, 2\nn = 4\n\n"
+                    "[sampler]\nkind = internal-biased\n")
+    sampler = parse_config(path).sampler
+    assert sampler.bias_strength == 1.0
+    assert sampler.summary() == "internal-biased(strength=1.0)"
+    args = build_parser().parse_args(["diagnose", "--table", "t.tbl"])
+    assert args.bias_strength == InternalBiasedSampler().strength == sampler.bias_strength
 
 
 def test_parse_config_requires_experiment_core(tmp_path):

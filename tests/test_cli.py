@@ -391,6 +391,22 @@ def test_test_has_no_margins_flag(readme_table, capsys):
 
 
 @pytest.mark.parametrize(
+    "margins, message",
+    [
+        (["1", "1", "1"], "error: margin vector has length 3, matrix has 4 rows"),
+        (["1", "-1", "1", "-1"], "error: negative margin: the fiber would be empty, refusing"),
+    ],
+    ids=["short", "negative"],
+)
+def test_enumerate_rejects_margins_the_fiber_cannot_have(margins, message, capsys):
+    code = run_cli("enumerate", "--shape", "2", "2", "--margins", *margins)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "command, extra",
     [("encode", ["--out"]), ("enumerate", ["--count-only"]), ("diagnose", [])],
 )

@@ -18,8 +18,6 @@ from fiberwalk.mle import (
     ChiSquare,
     fit_loglinear,
     independence_fitted,
-    log_likelihood,
-    score,
 )
 from fiberwalk.models import (
     ConstraintMatrix,
@@ -53,7 +51,7 @@ def test_closed_form_three_by_four():
 
 
 def test_fit_survives_saturating_table():
-    # a table that pushes the softmax toward a vertex early on
+    # a table far from uniform, with a zero cell
     u = Table((12, 6, 2, 0, 9, 1, 1, 1, 8), (3, 3))
     fit = fit_independence(u)
     assert fit.converged
@@ -64,22 +62,6 @@ def test_independence_fitted_zero_margin_raises():
     u = Table((0, 0, 1, 1), (2, 2))
     with pytest.raises(ValueError, match="zero margin"):
         independence_fitted(u)
-
-
-def test_gradient_matches_finite_differences():
-    u = Table((3, 1, 2, 2, 0, 4), (2, 3))
-    A = model_matrix(Independence((2, 3)))
-    rng = np.random.default_rng(4)
-    theta = rng.normal(scale=0.3, size=A.entries.shape[0])
-    g = score(theta, A, u)
-    eps = 1e-6
-    for k in range(len(theta)):
-        e = np.zeros_like(theta)
-        e[k] = eps
-        fd = (log_likelihood(theta + e, A, u) - log_likelihood(theta - e, A, u)) / (
-            2 * eps
-        )
-        assert abs(g[k] - fd) < 1e-5
 
 
 def test_fit_with_structural_zeros():
@@ -94,13 +76,6 @@ def test_fit_with_structural_zeros():
     got = model_matrix(model).entries @ (u.n * fit.pi)
     want = np.array(spec.margins, dtype=float)
     assert np.max(np.abs(got - want)) < 1e-4
-
-
-def test_fit_report_mentions_convergence():
-    u = Table((3, 1, 2, 2), (2, 2))
-    text = fit_independence(u).report()
-    assert "converged" in text
-    assert "discrepancy" in text
 
 
 def test_chi_square_hand_value():
@@ -194,7 +169,6 @@ def test_no_mle_stops_at_the_sweep_cap(tmp_path, capsys):
     fit = fit_loglinear(model_matrix(NoThreeWay(2)), u)
     assert not fit.converged
     assert fit.iterations == MAX_SWEEPS == 1000
-    assert "NOT CONVERGED" in fit.report()
 
     path = tmp_path / "nomle.tbl"
     path.write_text("2 2 2\n" + " ".join(map(str, cells)) + "\n")

@@ -7,6 +7,8 @@ lines from stdout.  Every failure mode gets its own exception type so
 callers can tell a crashed sampler from one that emits garbage.
 """
 
+import io
+import os
 import tracemalloc
 from collections import Counter
 
@@ -352,14 +354,30 @@ def test_external_sampler_seed_env_fallback(tmp_path):
     assert out_file.read_text().strip() == "424242"
 
 
-def test_sample_file_uses_existing_cnf(tmp_path):
+def test_dimacs_is_rendered_once_per_encoding(tmp_path, monkeypatch):
+    """Two calls on one encoding render its DIMACS text once; each call
+    still writes it to its own temporary file and removes that file."""
+    render = CNFEncoding.__dict__["_dimacs"]
+    renders = []
+    inner = render.func
+    monkeypatch.setattr(render, "func", lambda enc: renders.append(enc) or inner(enc))
     enc = encode_fiber(SPEC)
-    cnf_path = tmp_path / "fiber.cnf"
-    with open(cnf_path, "w") as fh:
-        enc.to_dimacs(fh)
-    cmd = solution_script(tmp_path, "fromfile", [lits_line(enc, FIBER[1])])
-    out = ExternalSampler(cmd).sample_file(enc, str(cnf_path), 1, seed=2)
-    assert out[0].cells == FIBER[1].cells
+    sol = tmp_path / "copy.sol"
+    sol.write_text(lits_line(enc, FIBER[1]) + "\n")
+    script = tmp_path / "copy.sh"
+    script.write_text(f'#!/bin/sh\necho "$1" >> {tmp_path}/paths\ncp "$1" {tmp_path}/seen_$3\ncat {sol}\n')
+    script.chmod(0o755)
+    sam = ExternalSampler(str(script) + " {cnf} {count} {seed}")
+    for seed in (1, 2):
+        assert sam.sample(enc, 1, seed)[0].cells == FIBER[1].cells
+    assert len(renders) == 1 and renders[0] is enc
+    buf = io.StringIO()
+    enc.to_dimacs(buf)
+    for seed in (1, 2):
+        assert (tmp_path / f"seen_{seed}").read_text() == buf.getvalue()
+    paths = (tmp_path / "paths").read_text().split()
+    assert len(set(paths)) == 2
+    assert not any(os.path.exists(p) for p in paths)
 
 
 def test_build_sampler_external_batch_and_label(tmp_path):
