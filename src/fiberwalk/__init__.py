@@ -14,17 +14,14 @@ chi-square statistic (:mod:`fiberwalk.mle`), and the evaluation driver
 from .models import (
     ConstraintMatrix,
     FiberSpec,
+    Hierarchical,
     Independence,
     NoThreeWay,
     QuasiIndependence,
     Table,
-    build_independence_matrix,
-    build_n3f_matrix,
     fiber_spec_from_observation,
     flatten_index,
     margins,
-    model_matrix,
-    model_structural_zeros,
     read_table,
     unflatten_index,
     write_table,

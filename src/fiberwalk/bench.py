@@ -44,7 +44,7 @@ from .moves import (
     repair_zero_pattern,
 )
 from .sampling import SamplerConfig, build_sampler, make_rng
-from .walk import MovesOnly, RunRecord, Schedule, make_schedule, run_walk
+from .walk import MovesOnly, RunRecord, SatOnly, Schedule, make_schedule, run_walk
 
 __all__ = [
     "ExperimentConfig",
@@ -224,7 +224,7 @@ class ExperimentConfig:
             raise ValueError("move source 'file' needs a path")
         if self.move_source == "cycle" and self.model == "n3f":
             raise ValueError("cycle moves apply to two-way tables only")
-        if self.tol <= 0:
+        if not self.tol > 0:  # refuses NaN too
             raise ValueError("tolerance must be positive")
         if self.exact_cap < 0:
             raise ValueError("exact_cap must be >= 0")
@@ -307,7 +307,8 @@ def conditional_test(
     stat = ChiSquare(fit.pi, u_obs.n, spec.forced_zeros())
     enum = enumerate_fiber(spec, cap=exact_cap)
     exact = exact_p_from_enumeration(enum, stat(u_obs.cells), stat) if enum.complete else None
-    moves = build_moves(move_source, spec, move_path)
+    # a sat-only walk makes no move steps, so it needs no move set
+    moves = None if isinstance(schedule, SatOnly) else build_moves(move_source, spec, move_path)
     rec = run_walk(spec, u_obs, schedule, moves, build_sampler(sampler), steps, stat, seed)
     return ConditionalTest(fit, exact, rec)
 

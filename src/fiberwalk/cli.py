@@ -26,13 +26,10 @@ from .encode import encode_fiber, parse_dimacs, write_layout
 from .enumeration import FULL_FIBER_CAP, enumerate_fiber, iter_fiber
 from .models import (
     FiberSpec,
-    Independence,
     NoThreeWay,
     QuasiIndependence,
     Table,
     fiber_spec_from_observation,
-    model_matrix,
-    model_structural_zeros,
     read_table,
     unflatten_index,
     write_table,
@@ -161,9 +158,7 @@ def _make_model(name: str, shape, zeros_multi):
         return NoThreeWay(shape[0])
     if len(shape) != 2:
         raise ValueError("the independence model on the CLI is two-way")
-    if zeros_multi:
-        return QuasiIndependence(tuple(shape), tuple(zeros_multi))
-    return Independence(tuple(shape))
+    return QuasiIndependence(shape, zeros_multi)
 
 
 def _build_spec(args) -> tuple[FiberSpec, Table | None]:
@@ -182,18 +177,9 @@ def _build_spec(args) -> tuple[FiberSpec, Table | None]:
         return fiber_spec_from_observation(model, u), u
     if not args.shape or args.margins is None:
         raise ValueError("need either --table or both --shape and --margins")
-    shape = tuple(args.shape)
-    zeros_multi = _parse_zeros(args.zeros, shape)
-    model = _make_model(args.model, shape, zeros_multi)
-    return (
-        FiberSpec(
-            matrix=model_matrix(model),
-            margins=tuple(args.margins),
-            structural_zeros=model_structural_zeros(model),
-            shape=shape,
-        ),
-        None,
-    )
+    model = _make_model(args.model, args.shape, _parse_zeros(args.zeros, args.shape))
+    spec = FiberSpec(model.matrix, tuple(args.margins), model.structural_zeros, model.shape)
+    return spec, None
 
 
 def cmd_encode(args) -> int:

@@ -1,18 +1,22 @@
-"""Contingency tables, constraint matrices and fiber specifications.
+"""Contingency tables, models, constraint matrices and fiber specifications.
 
 A fiber is the set of nonnegative integer tables sharing the margins
 ``b = A @ u_obs`` under a constraint matrix ``A``, intersected with the
-cells forced to zero by the model (structural zeros).  Everything in
-this module is immutable after construction and safe to share across
-threads.
+cells forced to zero by the model (structural zeros).  A model is a
+:class:`Hierarchical`: the faces whose margins it fixes, which give
+``A``, and its structural zeros.  :func:`Independence`,
+:func:`QuasiIndependence` and :func:`NoThreeWay` build the common
+ones.  Everything in this module is immutable after construction and
+safe to share across threads.
 
 Cell indexing is row-major with the last axis fastest, everywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TextIO, Union
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -20,15 +24,11 @@ __all__ = [
     "Table",
     "ConstraintMatrix",
     "FiberSpec",
+    "Hierarchical",
     "Independence",
     "QuasiIndependence",
     "NoThreeWay",
-    "ModelSpec",
-    "build_independence_matrix",
-    "build_n3f_matrix",
     "margins",
-    "model_matrix",
-    "model_structural_zeros",
     "fiber_spec_from_observation",
     "flatten_index",
     "unflatten_index",
@@ -208,46 +208,6 @@ class FiberSpec:
         return all(u.cells[s] == 0 for s in self.structural_zeros)
 
 
-@dataclass(frozen=True)
-class Independence:
-    """Complete independence model on a multi-way table."""
-
-    shape: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-
-
-@dataclass(frozen=True)
-class QuasiIndependence:
-    """Two-way independence with structural zeros (given as multi-indices)."""
-
-    shape: tuple[int, int]
-    zeros: tuple[tuple[int, int], ...] = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        object.__setattr__(
-            self, "zeros", tuple(sorted(set(tuple(int(c) for c in z) for z in self.zeros)))
-        )
-        if len(self.shape) != 2:
-            raise ValueError("quasi-independence is only defined for 2-way shapes here")
-
-
-@dataclass(frozen=True)
-class NoThreeWay:
-    """No-3-factor interaction model on d x d x d tables."""
-
-    d: int
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.d, self.d, self.d)
-
-
-ModelSpec = Union[Independence, QuasiIndependence, NoThreeWay]
-
-
 def _face_margins(shape: tuple[int, ...], faces) -> ConstraintMatrix:
     """0/1 matrix of the face margins of a table: for each face (a tuple
     of axes) one row per level combination of those axes, row-major,
@@ -261,31 +221,66 @@ def _face_margins(shape: tuple[int, ...], faces) -> ConstraintMatrix:
     return ConstraintMatrix(np.vstack(blocks))
 
 
-def build_independence_matrix(shape: Sequence[int]) -> ConstraintMatrix:
-    """0/1 matrix of all 1-marginals of a k-way table.
+@dataclass(frozen=True)
+class Hierarchical:
+    """A hierarchical log-linear model: the table shape, the faces
+    (tuples of axes) whose margins are its sufficient statistics, and
+    the structural zeros (multi-indices).
 
-    One row per (axis, level) pair; row (a, j) has a 1 exactly at the
-    cells whose a-th coordinate is j.  For 2-way shapes this is the
-    node-edge incidence matrix of the complete bipartite graph.
+    ``matrix`` stacks the face margins in the order the faces are
+    given; ``structural_zeros`` are the zeros' flat indices, sorted.
     """
-    shape = tuple(int(s) for s in shape)
-    if len(shape) < 2:
-        raise ValueError("need at least 2 axes")
-    if any(s < 2 for s in shape):
-        raise ValueError("every axis size must be >= 2")
-    return _face_margins(shape, [(axis,) for axis in range(len(shape))])
+
+    shape: tuple[int, ...]
+    faces: tuple[tuple[int, ...], ...]
+    zeros: tuple[tuple[int, ...], ...] = ()
+
+    def __post_init__(self):
+        shape = tuple(int(s) for s in self.shape)
+        faces = tuple(tuple(int(a) for a in face) for face in self.faces)
+        zeros = tuple(sorted(set(tuple(int(c) for c in z) for z in self.zeros)))
+        if len(shape) < 2:
+            raise ValueError("need at least 2 axes")
+        if any(s < 2 for s in shape):
+            raise ValueError("every axis size must be >= 2")
+        if not faces:
+            raise ValueError("a model needs at least one face")
+        for face in faces:
+            if not face or len(set(face)) != len(face) or min(face) < 0 or max(face) >= len(shape):
+                raise ValueError(f"face {face} is not a set of axes of shape {shape}")
+        for z in zeros:
+            flatten_index(z, shape)  # range check
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "zeros", zeros)
+
+    @cached_property
+    def matrix(self) -> ConstraintMatrix:
+        return _face_margins(self.shape, self.faces)
+
+    @property
+    def structural_zeros(self) -> tuple[int, ...]:
+        return tuple(flatten_index(z, self.shape) for z in self.zeros)
 
 
-def build_n3f_matrix(d: int) -> ConstraintMatrix:
-    """0/1 matrix of all pairwise 2-margins of a d x d x d table.
+def Independence(shape: Sequence[int]) -> Hierarchical:
+    """Complete independence on a multi-way table: every 1-marginal.
+    For two-way shapes the matrix is the node-edge incidence matrix of
+    the complete bipartite graph."""
+    return Hierarchical(shape, [(axis,) for axis in range(len(shape))])
 
-    3*d^2 rows: the (i,j)-, (i,k)- and (j,k)-margins in that order;
-    every column sums to 3.
-    """
-    d = int(d)
-    if d < 2:
-        raise ValueError("axis size must be >= 2")
-    return _face_margins((d, d, d), [(0, 1), (0, 2), (1, 2)])
+
+def QuasiIndependence(shape: Sequence[int], zeros: Iterable[Sequence[int]] = ()) -> Hierarchical:
+    """Two-way independence with structural zeros (given as multi-indices)."""
+    if len(shape) != 2:
+        raise ValueError("quasi-independence is only defined for 2-way shapes here")
+    return Hierarchical(shape, [(0,), (1,)], zeros)
+
+
+def NoThreeWay(d: int) -> Hierarchical:
+    """No-3-factor interaction on d x d x d tables: the (i,j)-, (i,k)-
+    and (j,k)-margins in that order, 3*d^2 rows."""
+    return Hierarchical((d, d, d), [(0, 1), (0, 2), (1, 2)])
 
 
 def margins(A: ConstraintMatrix, u: Table) -> tuple[int, ...]:
@@ -296,23 +291,7 @@ def margins(A: ConstraintMatrix, u: Table) -> tuple[int, ...]:
     return tuple(int(x) for x in A.entries @ vec)
 
 
-def model_matrix(model: ModelSpec) -> ConstraintMatrix:
-    """The sufficient-statistics matrix of a model family instance."""
-    if isinstance(model, (Independence, QuasiIndependence)):
-        return build_independence_matrix(model.shape)
-    if isinstance(model, NoThreeWay):
-        return build_n3f_matrix(model.d)
-    raise TypeError(f"unknown model spec {model!r}")
-
-
-def model_structural_zeros(model: ModelSpec) -> tuple[int, ...]:
-    """Flat structural-zero indices of a model family instance."""
-    if isinstance(model, QuasiIndependence):
-        return tuple(flatten_index(z, model.shape) for z in model.zeros)
-    return ()
-
-
-def fiber_spec_from_observation(model: ModelSpec, u_obs: Table) -> FiberSpec:
+def fiber_spec_from_observation(model: Hierarchical, u_obs: Table) -> FiberSpec:
     """Package b := A u_obs with the model's structural zeros.
 
     The observation must respect the structural zeros; the returned
@@ -320,8 +299,8 @@ def fiber_spec_from_observation(model: ModelSpec, u_obs: Table) -> FiberSpec:
     """
     if u_obs.shape != model.shape:
         raise ValueError(f"table shape {u_obs.shape} does not match model shape {model.shape}")
-    A = model_matrix(model)
-    zeros = model_structural_zeros(model)
+    A = model.matrix
+    zeros = model.structural_zeros
     for s in zeros:
         if u_obs.cells[s] != 0:
             raise ValueError(

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .models import ConstraintMatrix, FiberSpec
+from .models import ConstraintMatrix, FiberSpec, Independence, NoThreeWay
 
 # networkx is imported by the cycle functions on first use, so that
 # importing the package (and every sampler child that does) skips it.
@@ -269,20 +269,28 @@ MOVE_SOURCES = ("basic", "cycle", "file")
 
 def build_moves(source: str, spec: FiberSpec, path=None) -> MoveSet:
     """The move set a walk on ``spec`` uses, by source: ``file`` loads
-    and validates the basis at ``path``; ``basic`` gives the 2x2x2
-    moves on a 3-way table and the rectangles on a two-way one;
-    ``cycle`` gives the cycle moves of a two-way table."""
+    and validates the basis at ``path``; ``basic`` gives the rectangles
+    when ``spec.matrix`` is the two-way independence matrix and the
+    2x2x2 moves when it is the d x d x d no-three-way matrix; ``cycle``
+    gives the cycle moves for the two-way independence matrix.  These
+    are the move sets known to suit those matrices, so any other
+    matrix is refused rather than given moves of another model."""
     if source == "file":
         return load_basis(path, spec.matrix)
     if source not in MOVE_SOURCES:
         raise ValueError(f"unknown move source {source!r}; expected one of {MOVE_SOURCES}")
-    if len(spec.shape) == 3:
-        if source == "cycle":
-            raise ValueError("cycle moves apply to two-way tables only")
-        return basic_moves_n3f(spec.shape[0])
-    if source == "cycle":
-        return cycle_moves(spec.shape, spec.zero_set())
-    return basic_moves_two_way(spec.shape, spec.zero_set())
+    shape = spec.shape
+    if len(shape) == 2 and spec.matrix == Independence(shape).matrix:
+        moves = cycle_moves if source == "cycle" else basic_moves_two_way
+        return moves(shape, spec.zero_set())
+    if source == "basic" and len(shape) == 3 and spec.matrix == NoThreeWay(shape[0]).matrix:
+        return basic_moves_n3f(shape[0])
+    fits = "two-way tables" if source == "cycle" else "two-way independence and n3f tables"
+    raise ValueError(
+        f"{source} moves apply to {fits} only, not to the constraint matrix of "
+        f"this {'x'.join(map(str, shape))} fiber: give a basis with --moves file, "
+        "or walk with --schedule sat-only"
+    )
 
 
 def chordality_violations(shape: Sequence[int], zeros: Iterable[int] = ()) -> list[list]:

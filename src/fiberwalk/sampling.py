@@ -20,6 +20,7 @@ than silently thinned.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import shlex
@@ -119,6 +120,8 @@ class SamplerConfig:
             raise ValueError("external sampler needs a command_template")
         if self.timeout is not None and not self.timeout > 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout:g}")
+        if not math.isfinite(self.bias_strength):
+            raise ValueError(f"bias_strength must be finite, got {self.bias_strength:g}")
 
     def summary(self) -> str:
         if self.kind == "external":
@@ -245,11 +248,13 @@ class ExternalSampler:
         try:
             with os.fdopen(fd, "w") as f:
                 encoding.to_dimacs(f)
-            cmd = self.command.format(cnf=path, count=count, seed=seed)
+            # split first, so a path with spaces stays one argument
+            argv = [arg.format(cnf=path, count=count, seed=seed)
+                    for arg in shlex.split(self.command)]
             self.calls += 1
             try:
                 proc = subprocess.run(
-                    shlex.split(cmd),
+                    argv,
                     capture_output=True,
                     text=True,
                     timeout=self.timeout,

@@ -34,9 +34,7 @@ from fiberwalk.models import (
     NoThreeWay,
     QuasiIndependence,
     Table,
-    build_n3f_matrix,
     fiber_spec_from_observation,
-    model_matrix,
 )
 from fiberwalk.moves import (
     BasisFileError,
@@ -172,7 +170,7 @@ def test_criterion_03_exact_p_agreement():
     )
     spec = fiber_spec_from_observation(model, u)
     assert fiber_size(spec) == 1809
-    fit = fit_loglinear(model_matrix(model), u, zeros=spec.zero_set())
+    fit = fit_loglinear(model.matrix, u, zeros=spec.zero_set())
     assert fit.converged
     stat = ChiSquare(fit.pi, u.n, spec.structural_zeros)
     exact = exact_p_value(spec, stat(u.cells), stat)
@@ -272,7 +270,7 @@ def test_criterion_06_mle_matches_closed_form():
         d = shape[0] * shape[1]
         cells = tuple(int(c) for c in rng.integers(1, 10, size=d))
         u = Table(cells, shape)
-        A = model_matrix(Independence(shape))
+        A = Independence(shape).matrix
         fit = fit_loglinear(A, u)
         assert fit.converged, f"trial {trial}: no convergence on {cells}"
         dev = float(np.max(np.abs(fit.pi - independence_fitted(u))))
@@ -292,7 +290,7 @@ def test_criterion_07_basis_file_ingestion(tmp_path, data_dir):
     """The bundled 81-move basis for the no-three-factor model on
     3x3x3 loads with full kernel validation; a corrupted line is
     rejected with its line number."""
-    A = build_n3f_matrix(3)
+    A = NoThreeWay(3).matrix
     basis = load_basis(data_dir / "n3f_3_basis.txt", A)
     assert len(basis.moves) == 81
     for mv in basis.moves:

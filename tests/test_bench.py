@@ -178,6 +178,24 @@ def test_parse_config_refuses_a_timeout_not_above_zero(tmp_path, timeout):
         parse_config(path)
 
 
+@pytest.mark.parametrize("tolerance", ["0", "-0.01", "nan"])
+def test_parse_config_refuses_a_tolerance_not_above_zero(tmp_path, tolerance):
+    path = tmp_path / "exp.ini"
+    path.write_text("[experiment]\nmodel = independence\nshape = 2, 2\nn = 4\n"
+                    f"tolerance = {tolerance}\n")
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("strength", ["nan", "inf", "-inf"])
+def test_parse_config_refuses_a_non_finite_bias_strength(tmp_path, strength):
+    path = tmp_path / "exp.ini"
+    path.write_text("[experiment]\nmodel = independence\nshape = 2, 2\nn = 4\n\n"
+                    f"[sampler]\nkind = internal-biased\nbias_strength = {strength}\n")
+    with pytest.raises(ValueError, match="bias_strength must be finite"):
+        parse_config(path)
+
+
 def test_parse_config_biased_sampler_without_a_strength_is_biased(tmp_path):
     """An internal-biased sampler with no bias_strength gets the one
     default strength, which --bias-strength and the sampler share."""

@@ -356,6 +356,50 @@ def test_cycle_moves_on_three_way_table_is_an_error(tmp_path, capsys):
     assert "mcmc p:" not in captured.out
 
 
+def test_sat_only_test_builds_no_moves(tmp_path, capsys):
+    """A sat-only walk makes no move steps, so a move source that does
+    not apply to the fiber is not built."""
+    path = tmp_path / "cube.tbl"
+    path.write_text("2 2 2\n1 0 0 1 0 1 1 0\n")
+    code = run_cli(
+        "test", "--table", str(path), "--model", "n3f", "--moves", "cycle",
+        "--schedule", "sat-only", "--steps", "50",
+    )
+    assert code == 0
+    assert "steps: 50 (sat 50, move 0)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("strength", ["nan", "inf", "-inf"])
+def test_non_finite_bias_strength_fails_before_the_walk(readme_table, strength, capsys):
+    code = run_cli(
+        "test", "--table", readme_table, "--sampler", "internal-biased",
+        f"--bias-strength={strength}",
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bias_strength must be finite, got {strength}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2 0\n", "missing DIMACS header"),
+        ("p dnf 2 1\n1 2 0\n", "bad DIMACS header: 'p dnf 2 1'"),
+        ("p cnf 2 2\n1 2 0\n", "header declares 2 clauses, found 1"),
+        ("p cnf 2 1\n1 2\n", "trailing literals without clause terminator"),
+    ],
+    ids=["no-header", "dnf-header", "clause-count", "unterminated"],
+)
+def test_enumerate_cnf_refuses_a_malformed_file(tmp_path, text, message, capsys):
+    path = tmp_path / "bad.cnf"
+    path.write_text(text)
+    assert run_cli("enumerate", "--cnf", str(path), "--count-only") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_diagnose_enumerates_once_besides_the_sampler(
     readme_table, monkeypatch, capsys
 ):

@@ -28,7 +28,6 @@ from fiberwalk.models import (
     QuasiIndependence,
     Table,
     fiber_spec_from_observation,
-    model_matrix,
 )
 from fiberwalk.sampling import _parse_solutions, enumerate_cnf_tables
 
@@ -145,7 +144,7 @@ def test_structural_zero_pinned_in_cnf():
 
 def test_trivially_unsat_flag():
     # a whole row is structurally zero but its margin is positive
-    spec = FiberSpec(model_matrix(Independence((2, 2))), (2, 2, 2, 2), (0, 1), (2, 2))
+    spec = FiberSpec(Independence((2, 2)).matrix, (2, 2, 2, 2), (0, 1), (2, 2))
     enc = encode_fiber(spec)
     assert enc.trivially_unsat
     assert enumerate_cnf_tables(enc) == []

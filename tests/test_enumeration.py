@@ -38,7 +38,6 @@ from fiberwalk.models import (
     Table,
     fiber_spec_from_observation,
     margins,
-    model_matrix,
 )
 
 
@@ -83,9 +82,9 @@ def test_elements_satisfy_spec():
 
 
 def test_empty_fiber_when_margins_clash():
-    from fiberwalk.models import FiberSpec, model_matrix
+    from fiberwalk.models import FiberSpec
 
-    spec = FiberSpec(model_matrix(Independence((2, 2))), (1, 1, 3, 3), (), (2, 2))
+    spec = FiberSpec(Independence((2, 2)).matrix, (1, 1, 3, 3), (), (2, 2))
     enum = enumerate_fiber(spec)
     assert enum.complete and len(enum) == 0
 
@@ -347,7 +346,7 @@ def rational_exact_p(spec, u):
 def fitted_exact_p(u):
     """exact_p_value with the statistic of the fitted MLE."""
     spec = fiber_spec_from_observation(Independence(u.shape), u)
-    fit = fit_loglinear(model_matrix(Independence(u.shape)), u)
+    fit = fit_loglinear(Independence(u.shape).matrix, u)
     stat = ChiSquare(fit.pi, u.n)
     return spec, exact_p_value(spec, stat(u.cells), stat)
 

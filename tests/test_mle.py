@@ -26,12 +26,11 @@ from fiberwalk.models import (
     QuasiIndependence,
     Table,
     fiber_spec_from_observation,
-    model_matrix,
 )
 
 
 def fit_independence(u):
-    return fit_loglinear(model_matrix(Independence(u.shape)), u)
+    return fit_loglinear(Independence(u.shape).matrix, u)
 
 
 def test_closed_form_two_by_two():
@@ -68,12 +67,12 @@ def test_fit_with_structural_zeros():
     model = QuasiIndependence((3, 3), ((0, 0),))
     u = Table((0, 2, 1, 1, 1, 1, 2, 1, 1), (3, 3))
     spec = fiber_spec_from_observation(model, u)
-    fit = fit_loglinear(model_matrix(model), u, zeros=spec.zero_set())
+    fit = fit_loglinear(model.matrix, u, zeros=spec.zero_set())
     assert fit.converged
     assert fit.pi[0] == 0.0
     assert fit.pi.sum() == pytest.approx(1.0)
     # fitted margins reproduce the observed ones
-    got = model_matrix(model).entries @ (u.n * fit.pi)
+    got = model.matrix.entries @ (u.n * fit.pi)
     want = np.array(spec.margins, dtype=float)
     assert np.max(np.abs(got - want)) < 1e-4
 
@@ -132,7 +131,7 @@ def test_fit_matches_closed_form_on_positive_tables(cells):
 )
 def test_independence_converges_in_one_sweep(cells, shape):
     u = Table(cells, shape)
-    fit = fit_loglinear(model_matrix(Independence(shape)), u)
+    fit = fit_loglinear(Independence(shape).matrix, u)
     assert fit.converged
     assert fit.iterations == 1
     assert np.max(np.abs(fit.pi - independence_fitted(u))) <= 1e-15
@@ -166,7 +165,7 @@ def test_no_mle_stops_at_the_sweep_cap(tmp_path, capsys):
     # corners 0 and 7: IPF converges only sublinearly
     cells = (0, 1, 1, 1, 1, 1, 1, 0)
     u = Table(cells, (2, 2, 2))
-    fit = fit_loglinear(model_matrix(NoThreeWay(2)), u)
+    fit = fit_loglinear(NoThreeWay(2).matrix, u)
     assert not fit.converged
     assert fit.iterations == MAX_SWEEPS == 1000
 

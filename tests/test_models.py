@@ -16,16 +16,14 @@ from hypothesis import given, strategies as st
 from fiberwalk.models import (
     ConstraintMatrix,
     FiberSpec,
+    Hierarchical,
     Independence,
     NoThreeWay,
     QuasiIndependence,
     Table,
-    build_independence_matrix,
-    build_n3f_matrix,
     fiber_spec_from_observation,
     flatten_index,
     margins,
-    model_matrix,
     read_table,
     unflatten_index,
     write_table,
@@ -54,7 +52,7 @@ def test_flatten_is_row_major():
 
 
 def test_independence_matrix_rows_are_margins():
-    A = build_independence_matrix((2, 3))
+    A = Independence((2, 3)).matrix
     u = Table((1, 2, 3, 4, 5, 6), (2, 3))
     got = margins(A, u)
     # row sums then column sums
@@ -62,7 +60,7 @@ def test_independence_matrix_rows_are_margins():
 
 
 def test_independence_matrix_entries_are_indicator():
-    A = build_independence_matrix((3, 3))
+    A = Independence((3, 3)).matrix
     arr = A.entries
     assert arr.shape == (6, 9)
     assert set(arr.ravel().tolist()) == {0, 1}
@@ -71,7 +69,7 @@ def test_independence_matrix_entries_are_indicator():
 
 
 def test_n3f_matrix_shape():
-    A = build_n3f_matrix(2)
+    A = NoThreeWay(2).matrix
     # three pairwise margins on a 2x2x2 table: 3 * 4 rows, 8 cells
     assert A.entries.shape == (12, 8)
     assert (A.entries.sum(axis=0) == 3).all()
@@ -123,9 +121,35 @@ def test_spec_rejects_observation_violating_zero():
 
 
 def test_model_matrix_dispatch():
-    assert model_matrix(Independence((2, 2))).entries.shape == (4, 4)
-    assert model_matrix(QuasiIndependence((3, 3), ((0, 0),))).entries.shape == (6, 9)
-    assert model_matrix(NoThreeWay(2)).entries.shape == (12, 8)
+    """Every model is a Hierarchical; its matrix comes from its faces."""
+    models = (Independence((2, 2)), QuasiIndependence((3, 3), ((0, 0),)), NoThreeWay(2))
+    assert all(type(m) is Hierarchical for m in models)
+    assert [m.matrix.entries.shape for m in models] == [(4, 4), (6, 9), (12, 8)]
+    assert NoThreeWay(2).faces == ((0, 1), (0, 2), (1, 2))
+    assert QuasiIndependence((3, 4), ()) == Independence((3, 4))
+    assert QuasiIndependence((3, 4), [[1, 2], (0, 0), (1, 2)]).zeros == ((0, 0), (1, 2))
+    assert QuasiIndependence((3, 4), ((1, 2), (0, 0))).structural_zeros == (0, 6)
+    assert Independence((2, 3, 4)).matrix == Hierarchical((2, 3, 4), ((0,), (1,), (2,))).matrix
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: QuasiIndependence((2, 2, 2), ()), "only defined for 2-way shapes"),
+        (lambda: Independence((3,)), "need at least 2 axes"),
+        (lambda: Independence((3, 1)), "every axis size must be >= 2"),
+        (lambda: NoThreeWay(1), "every axis size must be >= 2"),
+        (lambda: Hierarchical((2, 2), ()), "at least one face"),
+        (lambda: Hierarchical((2, 2), ((0, 2),)), "not a set of axes"),
+        (lambda: Hierarchical((2, 2), ((1, 1),)), "not a set of axes"),
+        (lambda: QuasiIndependence((2, 2), ((0, 2),)), "out of range"),
+    ],
+    ids=["quasi-3-way", "one-axis", "size-1", "n3f-1", "no-face", "bad-axis",
+         "repeated-axis", "zero-out-of-range"],
+)
+def test_model_checks_its_shape_faces_and_zeros(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_write_read_table_round_trip():
@@ -154,7 +178,7 @@ def test_read_table_bad_input():
 def test_margins_match_numpy(i, j):
     cells = tuple(range(1, 17))
     u = Table(cells, (4, 4))
-    A = build_independence_matrix((4, 4))
+    A = Independence((4, 4)).matrix
     arr = u.to_array()
     got = margins(A, u)
     assert got[i] == arr[i].sum()
@@ -188,5 +212,5 @@ def _matrix_digest(A):
 def test_matrix_golden(name):
     kind, dims = name.split(":")
     size = tuple(int(t) for t in dims.split("x"))
-    A = build_n3f_matrix(size[0]) if kind == "n3f" else build_independence_matrix(size)
+    A = NoThreeWay(size[0]).matrix if kind == "n3f" else Independence(size).matrix
     assert _matrix_digest(A) == GOLDEN_MATRICES[name]

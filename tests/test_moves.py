@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from fiberwalk.models import (
+    ConstraintMatrix,
+    FiberSpec,
     Independence,
     NoThreeWay,
     QuasiIndependence,
     Table,
-    build_n3f_matrix,
     fiber_spec_from_observation,
-    model_matrix,
 )
 from fiberwalk.moves import (
     BasisFileError,
@@ -65,7 +65,7 @@ def test_basic_moves_avoid_structural_zeros():
 
 
 def test_moves_are_in_the_kernel():
-    A = model_matrix(Independence((3, 4)))
+    A = Independence((3, 4)).matrix
     for mv in cycle_moves((3, 4)).moves:
         delta = np.zeros(12, dtype=int)
         for j, d in zip(mv.support, mv.deltas):
@@ -74,7 +74,7 @@ def test_moves_are_in_the_kernel():
 
 
 def test_n3f_basis_is_kernel_valid():
-    A = build_n3f_matrix(3)
+    A = NoThreeWay(3).matrix
     basis = n3f_basis(3)
     assert len(basis.moves) == 81
     for mv in basis.moves:
@@ -95,7 +95,7 @@ def test_save_load_round_trip(tmp_path):
     basis = n3f_basis(3)
     path = tmp_path / "basis.txt"
     save_basis(basis, path)
-    loaded = load_basis(path, build_n3f_matrix(3))
+    loaded = load_basis(path, NoThreeWay(3).matrix)
     assert len(loaded.moves) == len(basis.moves)
     got = sorted((m.support, m.deltas) for m in loaded.moves)
     want = sorted((m.support, m.deltas) for m in basis.moves)
@@ -109,25 +109,25 @@ def test_load_basis_rejects_corrupted_line(tmp_path, data_dir):
     bad = tmp_path / "bad.txt"
     bad.write_text("".join(lines))
     with pytest.raises(BasisFileError, match="line 3"):
-        load_basis(bad, build_n3f_matrix(3))
+        load_basis(bad, NoThreeWay(3).matrix)
 
 
 def test_load_basis_rejects_bad_tokens(tmp_path):
     bad = tmp_path / "tokens.txt"
     bad.write_text("1 -1 x -1\n")
     with pytest.raises(BasisFileError, match="line 1"):
-        load_basis(bad, model_matrix(Independence((2, 2))))
+        load_basis(bad, Independence((2, 2)).matrix)
 
 
 def test_load_basis_rejects_wrong_length(tmp_path):
     bad = tmp_path / "short.txt"
     bad.write_text("1 -1 -1\n")
     with pytest.raises(BasisFileError, match="line 1"):
-        load_basis(bad, model_matrix(Independence((2, 2))))
+        load_basis(bad, Independence((2, 2)).matrix)
 
 
 def test_fixture_file_loads_with_81_moves(data_dir):
-    basis = load_basis(data_dir / "n3f_3_basis.txt", build_n3f_matrix(3))
+    basis = load_basis(data_dir / "n3f_3_basis.txt", NoThreeWay(3).matrix)
     assert len(basis.moves) == 81
 
 
@@ -140,10 +140,34 @@ def test_build_moves_by_source_and_shape(data_dir):
     assert build_moves("basic", cube) == basic_moves_n3f(3)
     basis = build_moves("file", cube, data_dir / "n3f_3_basis.txt")
     assert len(basis.moves) == 81
-    with pytest.raises(ValueError, match="two-way tables only"):
+    with pytest.raises(ValueError, match="cycle moves apply to two-way tables only"):
         build_moves("cycle", cube)
     with pytest.raises(ValueError, match="unknown move source"):
         build_moves("lattice", quasi)
+    plain = fiber_spec_from_observation(Independence((3, 4)), Table(range(12), (3, 4)))
+    assert build_moves("basic", plain) == basic_moves_two_way((3, 4))
+    assert build_moves("cycle", plain) == cycle_moves((3, 4))
+
+
+@pytest.mark.parametrize("source", ["basic", "cycle"])
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 3, 3), (2, 3, 4), (2, 2, 2, 2)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_build_moves_refuses_a_matrix_it_has_no_moves_for(shape, source):
+    """Multi-way independence has neither the rectangles nor the n3f
+    moves as a basis, so no move set is guessed from the shape."""
+    u = Table((1,) * int(np.prod(shape)), shape)
+    spec = fiber_spec_from_observation(Independence(shape), u)
+    name = "x".join(map(str, shape))
+    with pytest.raises(ValueError, match=f"not to the constraint matrix of this {name} fiber"):
+        build_moves(source, spec)
+
+
+@pytest.mark.parametrize("source", ["basic", "cycle"])
+def test_build_moves_refuses_a_hand_built_matrix(source):
+    # only the grand total of a 2x2 table: a matrix of no model here
+    spec = FiberSpec(ConstraintMatrix([[1, 1, 1, 1]]), (4,), (), (2, 2))
+    with pytest.raises(ValueError, match="--moves file, or walk with --schedule sat-only"):
+        build_moves(source, spec)
 
 
 # -- chordality

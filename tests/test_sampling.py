@@ -9,6 +9,7 @@ callers can tell a crashed sampler from one that emits garbage.
 
 import io
 import os
+import tempfile
 import tracemalloc
 from collections import Counter
 
@@ -157,6 +158,12 @@ def test_make_rng_deterministic():
 def test_sampler_config_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown sampler kind"):
         SamplerConfig(kind="bogus")
+
+
+@pytest.mark.parametrize("strength", [float("nan"), float("inf"), float("-inf")])
+def test_sampler_config_refuses_a_non_finite_bias_strength(strength):
+    with pytest.raises(ValueError, match="bias_strength must be finite"):
+        SamplerConfig(kind="internal-biased", bias_strength=strength)
 
 
 def test_internal_uniform_samples_lie_in_fiber():
@@ -378,6 +385,25 @@ def test_dimacs_is_rendered_once_per_encoding(tmp_path, monkeypatch):
     paths = (tmp_path / "paths").read_text().split()
     assert len(set(paths)) == 2
     assert not any(os.path.exists(p) for p in paths)
+
+
+def test_cnf_path_with_a_space_stays_one_argument(tmp_path, monkeypatch):
+    """The temporary CNF file's path fills {cnf} as one argument, even
+    when the temporary directory's name holds a space."""
+    spaced = tmp_path / "tmp dir"
+    spaced.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+    enc = encode_fiber(SPEC)
+    sol = tmp_path / "spaced.sol"
+    sol.write_text(lits_line(enc, FIBER[2]) + "\n")
+    script = tmp_path / "spaced.sh"
+    script.write_text(f'#!/bin/sh\ncp "$1" {tmp_path}/seen || exit 3\ncat {sol}\n')
+    script.chmod(0o755)
+    out = ExternalSampler(str(script) + " {cnf} {count} {seed}").sample(enc, 1, seed=1)
+    assert out[0].cells == FIBER[2].cells
+    buf = io.StringIO()
+    enc.to_dimacs(buf)
+    assert (tmp_path / "seen").read_text() == buf.getvalue()
 
 
 def test_build_sampler_external_batch_and_label(tmp_path):
