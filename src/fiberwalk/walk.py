@@ -3,36 +3,60 @@ and the hybrid schedules combining them.
 
 The target is rho(v) proportional to 1/(v_1! ... v_d!), the conditional
 law of the table given its margins.  Markov-move proposals are
-symmetric, and SAT draws are treated as independence proposals with
-assumed-uniform law, so both step kinds share one acceptance ratio:
+symmetric and accepted with
 
     r(u, v) = min{1, prod_i u_i! / v_i!}
 
 evaluated from log-factorials tabulated once per run, or filled on
-first use when the cell bound exceeds max(N, 2^16).  Each step records
-whether its state is a hit: its statistic is at least
-``hit_cut(observed)``, the observed value less a relative 1e-7 (the
-rule exact enumeration uses, so ties up to rounding are hits).  The
-hit flag travels with the state, so the hit cache is read only on
-acceptance; the finished record turns hits into p_i = hits/i.  The
-cut is computed once per run; ``RunRecord.threshold`` keeps the
-observed value.
+first use when the cell bound exceeds max(N, 2^16).
+
+SAT steps take one of two forms.  A schedule with move steps between
+its SAT steps (Alternating(n), n >= 2) takes the pooled step: D holds
+the distinct tables of the latest sampler batches (the newest
+``_POOL_CAP`` of them), and a SAT step moves to a table drawn from rho
+on D when the current table is in D, and stays otherwise.  For each D,
+rho(u) K(u, v) = rho(u) rho(v) / rho(D) is symmetric, so the step keeps
+rho; D and the draws depend on sampler output alone, never on the
+chain, so every step keeps rho whatever the sampler's law.  That is
+invariance, not convergence: the walk reaches all of the fiber only if
+moves and pooled steps together connect it, which a Markov basis
+ensures.  With an incomplete move set the walk crosses between
+components only through a D that holds its current table and a table
+of the other component; D changes with each batch, so a sampler that
+keeps drawing every component keeps the walk moving, but slowly where
+D is small against the fiber.  The step fires only when the current
+table is in D, about |D| / |fiber| of the time for a uniform sampler,
+so on a fiber far larger than D it seldom does.  A schedule with no
+move steps (SatOnly, Alternating(1)) would not be irreducible under the
+pooled step and keeps the independence step: the draw is accepted with
+r(u, v) above, which is exact only for a uniform sampler.
+
+Each step records whether its state is a hit: its statistic is at
+least ``hit_cut(observed)``, the observed value less a relative 1e-7
+(the rule exact enumeration uses, so ties up to rounding are hits).
+The hit flag travels with the state, so the hit cache is read only on
+acceptance; the finished record turns hits into p_i = hits/i.  The cut
+is computed once per run; ``RunRecord.threshold`` keeps the observed
+value.
 
 Schedules: MovesOnly, SatOnly, Alternating(n) (step t is a SAT-step
 iff t mod n = 0) and ParallelStarts(n, k) (k sub-walks started from k
 SAT draws; one sub-walk is chosen uniformly and advanced n move-steps
 at a time; only move-steps count toward N, and the k initial draws are
-the scheme's k SAT-steps).  The schedule alone fixes each step's kind,
-so the record's kinds and step counts are derived from it, not counted.
-Move steps run in one loop per run of them: n - 1 before each SAT step
-of Alternating(n), then the tail; all N of MovesOnly; one run per pick
-of ParallelStarts.
+the scheme's k SAT-steps).  ParallelStarts never redraws its starts,
+so its sub-walks are weighted by the sampler's law, not by rho.  The
+schedule alone fixes each step's kind, so the record's kinds and step
+counts are derived from it, not counted.  Steps run in one loop per
+sampler batch of Alternating(n >= 2), then the tail; all N of
+MovesOnly; one run per pick of ParallelStarts.
 
-The walk draws from streams (iterators).  SAT proposals are sampler
-batches, each seeded from the scheduler stream ``make_rng(seed, 0)``,
-which also picks the ParallelStarts sub-walks.  Sub-walk w (1 for a
-single walk) draws moves, signs and acceptance uniforms 8,192 at a time
-from ``make_rng(seed, w)``: a uniform for each proposal in the orthant.
+The walk draws from streams (iterators).  Sampler batches are each
+seeded from the scheduler stream ``make_rng(seed, 0)``, which also
+draws the pooled steps' picks (one call per batch, after the batch
+joins D) and picks the ParallelStarts sub-walks.  A batch of ``chunk``
+draws serves ``chunk`` SAT steps.  Sub-walk w (1 for a single walk) draws moves, signs and
+acceptance uniforms 8,192 at a time from ``make_rng(seed, w)``: a
+uniform for each proposal in the orthant and each independence step.
 """
 
 from __future__ import annotations
@@ -68,6 +92,7 @@ __all__ = [
 ]
 
 _CHUNK = 8192
+_POOL_CAP = 65_536  # distinct tables the pooled SAT step keeps in D
 
 
 @dataclass(frozen=True)
@@ -123,13 +148,16 @@ class RunRecord:
     """Everything a finished (or aborted) run produced.
 
     ``p_sequence[i]`` is the estimate after step i+1; ``accepted`` and
-    ``proposal_kind`` (0 for move, 1 for SAT) are per recorded step.
+    ``proposal_kind`` (0 for move, 1 for SAT) are per recorded step;
+    a pooled SAT step is accepted when it fired, that is, when the
+    current table was in D.
     The schedule sets the kinds, so ``proposal_kind`` is built on read
     from ``_period``: with a period, step t was a SAT step iff the
     period divides t.  ``sat_steps`` counts consumed SAT proposals
     including the initial draws of ParallelStarts; ``move_steps``
     counts move proposals.  ``state_counts`` maps visited cell tuples
-    to visit counts when requested.
+    to visit counts when requested.  ``pool_size`` is |D| at the end of
+    the run, 0 for a schedule without the pooled step.
     """
 
     p_sequence: np.ndarray
@@ -143,6 +171,7 @@ class RunRecord:
     state_counts: dict[tuple[int, ...], int] | None = None
     aborted: bool = False
     abort_reason: str | None = None
+    pool_size: int = 0
     _period: int = field(default=0, repr=False)  # 0: no SAT steps after the start
 
     @property
@@ -195,12 +224,12 @@ class _LogFactorials(dict):
         return v
 
 
-def _proposals(
+def _batches(
     sampler: FiberSampler, encoding: CNFEncoding, sched_rng, chunk: int
-) -> Iterator[Table]:
-    """SAT proposals, one sampler call per refill, each with a fresh
-    seed from the scheduler stream.  A short batch is used as returned;
-    only an empty one is retried, at most 16 times."""
+) -> Iterator[list[Table]]:
+    """Sampler batches, one call each, each with a fresh seed from the
+    scheduler stream.  A short batch is used as returned; only an empty
+    one is retried, at most 16 times."""
     while True:
         for _ in range(16):
             batch = sampler.sample(encoding, chunk, int(sched_rng.integers(1 << 62)))
@@ -208,7 +237,61 @@ def _proposals(
                 break
         else:
             raise SamplerError("sampler repeatedly returned no valid elements")
-        yield from batch
+        yield batch
+
+
+class _Pool:
+    """D, the distinct tables of the latest sampler batches, oldest
+    first: ``index`` for membership (a dict with no values, half the
+    size of a set), their cells in order of arrival, their log-weights
+    in one float64 array and rho restricted to D.  Past ``_POOL_CAP``
+    tables the oldest leave D as new ones join."""
+
+    __slots__ = ("index", "cells", "logw", "probs")
+
+    def __init__(self):
+        self.index: dict[tuple[int, ...], None] = {}
+        self.cells: list[tuple[int, ...]] = []
+        self.logw = self.probs = np.empty(0)
+
+    def add(self, batch: list[Table], lf) -> None:
+        """Add the batch's tables that D lacks, drop the oldest past the
+        cap, and renormalize rho on D."""
+        index, cells, new = self.index, self.cells, []
+        for t in batch:
+            c = t.cells
+            if c not in index:
+                index[c] = None
+                cells.append(c)
+                new.append(-sum(map(lf.__getitem__, c)))
+        if not new:
+            return
+        self.logw = np.concatenate((self.logw, new))
+        drop = len(cells) - _POOL_CAP
+        if drop > 0:
+            for c in cells[:drop]:
+                del index[c]
+            del cells[:drop]
+            self.logw = self.logw[drop:]
+        w = self.logw - self.logw.max()
+        np.exp(w, out=w)
+        w /= w.sum()
+        self.probs = w
+
+    def picks(self, rng: np.random.Generator, size: int) -> memoryview:
+        """``size`` pool indices drawn from rho on D; the memoryview
+        yields them as ints without a list of them."""
+        return memoryview(rng.choice(len(self.cells), size=size, p=self.probs))
+
+
+def _pool_picks(batches: Iterator[list[Table]], pool: _Pool, lf,
+                sched_rng) -> Iterator[memoryview]:
+    """The pooled SAT steps' picks, one array per batch: each batch
+    joins D as it arrives and gives its SAT steps their picks from rho
+    on the new D."""
+    for batch in batches:
+        pool.add(batch, lf)
+        yield pool.picks(sched_rng, len(batch))
 
 
 def _moves(rng: np.random.Generator, signed: list) -> Iterator[tuple]:
@@ -228,8 +311,10 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
 
 class _Walk:
     """One sub-walk: its cells as a mutable list and a tuple, hit flag,
-    log-weight, the run's log-factorial table ``lf``, and move and
-    uniform streams drawn from the sub-walk's own generator."""
+    log-weight (kept by the independence step, the only step that reads
+    it, and which runs only in schedules without moves), the run's
+    log-factorial table ``lf``, and move and uniform streams drawn from
+    the sub-walk's own generator."""
 
     __slots__ = ("cur", "cur_t", "hit", "logw", "lf", "moves", "unif")
 
@@ -242,37 +327,61 @@ class _Walk:
         self.moves = _moves(rng, signed)
         self.unif = _uniforms(rng)
 
-    def move_steps(self, count: int, rec: _Recorder) -> None:
-        """Advance by ``count`` move proposals in one frame."""
-        cur, cur_t, hit, logw, lf = self.cur, self.cur_t, self.hit, self.logw, self.lf
-        unif, exp = self.unif, math.exp
+    def steps(self, count: int, rec: _Recorder, period: int = 0, picks: Sequence[int] = (),
+              pool: _Pool | None = None) -> None:
+        """Advance by ``count`` steps in one frame: move proposals, and
+        with a period, a pooled SAT step at every period-th step, the
+        j-th of them on pool table ``picks[j]``.  The pooled step moves
+        to its pick when the current table is in D and stays otherwise."""
+        cur, cur_t, hit, lf = self.cur, self.cur_t, self.hit, self.lf
+        moves, unif, exp = self.moves, self.unif, math.exp
         p, flags, counts = rec.p, rec.flags, rec.counts
-        first = rec.i
-        for i, pairs in zip(range(first, first + count), self.moves):
-            s = 0.0
-            for j, dl in pairs:
-                c = cur[j]
-                nv = c + dl
-                if nv < 0:
-                    break  # off the orthant: a self-loop, no uniform drawn
-                s += lf[c] - lf[nv]
-            else:
-                # s >= 0 first: math.exp overflows above 709
-                u = next(unif)
-                if s >= 0 or u < exp(s):
-                    for j, dl in pairs:
-                        cur[j] += dl
-                    cur_t = tuple(cur)
-                    hit = rec.hit(cur_t)
-                    logw += s  # log rho only shifts by the support terms
-                    flags[i] = True
-            p[i] = hit
+        i, end = rec.i, rec.i + count
+        run = period - 1 if period else count  # move steps before each SAT step
+        if pool is not None:
+            index, tables, picks = pool.index, pool.cells, iter(picks)
+        while True:
+            stop = i + run
+            if stop > end:
+                stop = end
+            for i, pairs in zip(range(i, stop), moves):
+                s = 0.0
+                for j, dl in pairs:
+                    c = cur[j]
+                    nv = c + dl
+                    if nv < 0:
+                        break  # off the orthant: a self-loop, no uniform drawn
+                    s += lf[c] - lf[nv]
+                else:
+                    # s >= 0 first: math.exp overflows above 709
+                    u = next(unif)
+                    if s >= 0 or u < exp(s):
+                        for j, dl in pairs:
+                            cur[j] += dl
+                        cur_t = tuple(cur)
+                        hit = rec.hit(cur_t)
+                        flags[i] = True
+                p[i] = hit
+                if counts is not None:
+                    counts[cur_t] = counts.get(cur_t, 0) + 1
+            if stop == end:
+                break
+            # the pooled SAT step at index stop
+            k = next(picks)
+            if cur_t in index:
+                cur_t = tables[k]
+                cur = list(cur_t)
+                hit = rec.hit(cur_t)
+                flags[stop] = True
+            p[stop] = hit
             if counts is not None:
                 counts[cur_t] = counts.get(cur_t, 0) + 1
-        rec.i = first + count
-        self.cur_t, self.hit, self.logw = cur_t, hit, logw
+            i = stop + 1
+        rec.i = end
+        self.cur, self.cur_t, self.hit = cur, cur_t, hit
 
     def sat_step(self, proposal: Table, rec: _Recorder) -> None:
+        """The independence step: accept the draw on rho(v) / rho(u)."""
         p_cells = proposal.cells
         lw = -sum(map(self.lf.__getitem__, p_cells))
         s = lw - self.logw  # log rho(v) - log rho(u)
@@ -338,40 +447,56 @@ def run_walk(
     else:
         period = 1 if isinstance(schedule, SatOnly) else schedule.n
     sched_rng = make_rng(seed, 0)
-    feed = None
+    batches = None
     if not isinstance(schedule, MovesOnly):
         if sampler is None:
             raise ValueError("this schedule needs a sampler")
         chunk = min(max(1, N // period), _CHUNK) if period else schedule.k
-        feed = _proposals(sampler, encode_fiber(spec), sched_rng, chunk)
+        batches = _batches(sampler, encode_fiber(spec), sched_rng, chunk)
     rec = _Recorder(N, stat, threshold, count_states)
 
     if isinstance(schedule, ParallelStarts):
         k, n = schedule.k, schedule.n
         picks = sched_rng.integers(0, k, size=-(-N // n)).tolist()
+        feed = chain.from_iterable(batches)
         try:
             starts = [next(feed) for _ in range(k)]
         except SamplerError as exc:
             return _finish(rec, spec, u_obs, [], 0, 0, str(exc))
         walks = [_Walk(s, make_rng(seed, 1 + w), signed, lf, rec) for w, s in enumerate(starts)]
         for pick, done in zip(picks, range(0, N, n)):
-            walks[pick].move_steps(min(n, N - done), rec)
+            walks[pick].steps(min(n, N - done), rec)
         return _finish(rec, spec, u_obs, [w.cur_t for w in walks], 0, k, None)
 
     walk = _Walk(u_obs, make_rng(seed, 1), signed, lf, rec)
+    pool = None
     reason = None
     try:
-        # runs of period - 1 move steps, each followed by a SAT step
-        for _ in range(N // period if period else 0):
-            walk.move_steps(period - 1, rec)
-            walk.sat_step(next(feed), rec)
-        walk.move_steps(N % period if period else N, rec)
+        if period > 1:  # move steps between SAT steps: the pooled step
+            pool = _Pool()
+            feed = _pool_picks(batches, pool, lf, sched_rng)
+            left = N // period
+            while left:
+                try:
+                    picks = next(feed)[:left]
+                except SamplerError:
+                    walk.steps(period - 1, rec)  # the moves before the SAT step that failed
+                    raise
+                walk.steps(len(picks) * period, rec, period, picks, pool)
+                left -= len(picks)
+        elif period:  # no move steps: the independence step
+            feed = chain.from_iterable(batches)
+            for _ in range(N):
+                walk.sat_step(next(feed), rec)
+        walk.steps(N % period if period else N, rec)
     except SamplerError as exc:
         reason = str(exc)
-    return _finish(rec, spec, u_obs, [walk.cur_t], period, 0, reason)
+    return _finish(rec, spec, u_obs, [walk.cur_t], period, 0, reason,
+                   len(pool.cells) if pool else 0)
 
 
-def _finish(rec, spec, u_obs, final_cells, period, initial_draws, reason) -> RunRecord:
+def _finish(rec, spec, u_obs, final_cells, period, initial_draws, reason,
+            pool_size=0) -> RunRecord:
     """The record of ``rec.i`` steps; with a period, step t was a SAT
     step iff period divides t.  A run that aborted at SAT step t stopped
     after t - 1 steps, so the counts hold for aborted runs too.  The hits
@@ -399,6 +524,7 @@ def _finish(rec, spec, u_obs, final_cells, period, initial_draws, reason) -> Run
         state_counts=rec.counts,
         aborted=reason is not None,
         abort_reason=reason,
+        pool_size=pool_size,
         _period=period,
     )
 

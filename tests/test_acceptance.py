@@ -8,10 +8,10 @@ inline and in the printed verdicts.
 Covered: the CNF/enumeration bijection, stationarity of all walk
 schedules, agreement of the hybrid walk with exactly enumerated
 p-values, the structural-bias failure mode of raw SAT sampling and
-its mitigation, SAT-step accounting, MLE closed-form agreement,
-Markov-basis file ingestion, the doubly-chordal zero-pattern
-machinery, fiber disconnection under basic moves, and byte-level
-reproducibility of the evaluation harness.
+its removal by the pooled SAT step, SAT-step accounting, MLE
+closed-form agreement, Markov-basis file ingestion, the doubly-chordal
+zero-pattern machinery, fiber disconnection under basic moves, and
+byte-level reproducibility of the evaluation harness.
 """
 
 import math
@@ -197,9 +197,9 @@ def test_criterion_03_exact_p_agreement():
 
 def test_criterion_04_bias_phenomenon():
     """A tilted sampler (strength 2) pulls SatOnly more than 0.02 away
-    from the exact p-value, Alternating(50) stays within 0.01, and the
-    alternating error is non-increasing in the period across
-    {2, 10, 50} (pinned seed, N = 2e5)."""
+    from the exact p-value, while Alternating(n) stays within 0.01 of it
+    for each n in {2, 10, 50}: its pooled SAT step keeps rho whatever
+    the sampler's law (pinned seed, N = 2e5)."""
     u = Table((0, 3, 3, 0), (2, 2))
     spec = fiber_spec_from_observation(Independence((2, 2)), u)
     stat = ChiSquare(independence_fitted(u), u.n)
@@ -220,11 +220,11 @@ def test_criterion_04_bias_phenomenon():
     print(f"  exact p {exact:.3f}; sat-only error {sat_err:.4f}; "
           f"alternating errors {[(n, round(e, 4)) for n, e in alt_errs.items()]}")
     assert sat_err > 0.02, f"sat-only error {sat_err:.4f} not > 0.02"
-    assert alt_errs[50] <= 0.01, f"alternating(50) error {alt_errs[50]:.4f} > 0.01"
-    assert alt_errs[2] >= alt_errs[10] >= alt_errs[50], "errors not non-increasing"
+    for n, err in alt_errs.items():
+        assert err <= 0.01, f"alternating({n}) error {err:.4f} > 0.01"
     verdict(4, True,
-            f"sat-only off by {sat_err:.3f} (> 0.02), alternating(50) within "
-            f"{alt_errs[50]:.4f} (<= 0.01), errors non-increasing over n=2,10,50")
+            f"sat-only off by {sat_err:.3f} (> 0.02), alternating(n) within "
+            f"{max(alt_errs.values()):.4f} (<= 0.01) for n = 2, 10, 50")
 
 
 # ---------------------------------------------------------------- 5

@@ -309,12 +309,13 @@ GOLDEN_EXPORTS = {
         "[experiment]\nmodel = independence\nshape = 3, 3\nn = 15\n"
         "runs = 3\nsteps = 400\nseed = 4\n"
         "[schedule]\nkind = alternating\nperiod = 5\n",
+        # final p 0.0, 0.015, 0.0025 against exact p 2.78e-06, 0.001454, 0.005750
         {
-            "plot.svg": "8115c2395bc43e3f2e57c6f929ff7a1bdbe61ac314747d7732f8019edb9ad846",
+            "plot.svg": "87cc12fe72e2eccc214c2b23f6f453a42fa127d191690020a61db325c87d4f5e",
             "run_001.csv": "c2d60d707bbe47629fb2a802463b9edeadf296d8c07578d57f9d92a8d53dd3cf",
-            "run_002.csv": "ecf72ac79985ee7e0899456372bf83988c247636cdd4a433d67ffda5b6f41561",
-            "run_003.csv": "c3b67c723a84e9c6c0dc67e9e4ede42a5379a687f0f470ce9dd80ba3aba88b8c",
-            "summary.csv": "5495a750575c624c0184527496943ef807d4c8585025c25dd737dbe1a4bdcbd5",
+            "run_002.csv": "b1c0807d865404f6ee0926b9cfdf0099a219843ad9b7e341871689aea4e7515d",
+            "run_003.csv": "ab2dc8cb949b726ba541ce5699702c0d0b8e945e2b7f2ad740e9fd983fc8c170",
+            "summary.csv": "66758261bf6c480e84700e1466080e0b6a213a8a970a326ea59903e10d09dc4c",
         },
     ),
     "quasi-cycle-parallel-biased": (

@@ -2,14 +2,19 @@
 
 The target distribution is rho(u) proportional to 1/prod(u_ij!).
 Move proposals pick a move and a sign uniformly; SAT proposals come
-from a sampler.  Both use the same acceptance rule
+from a sampler.  Moves, and the SAT draws of schedules without moves,
+use the acceptance rule
 r(u, v) = exp(min(0, sum(lgamma(u_i + 1) - lgamma(v_i + 1)))), and a
 proposal that leaves the nonnegative orthant is a self-loop that
-still counts as a step.  A state is a hit when its statistic is at
+still counts as a step.  Alternating(n) with n >= 2 takes the pooled
+SAT step: from a table in D, the distinct tables of the sampler's
+latest batches, it moves to a table drawn from rho on D.  A state is
+a hit when its statistic is at
 least the observed one less a relative 1e-7, so ties survive rounding.
 """
 
 import hashlib
+import itertools
 import math
 import time
 import tracemalloc
@@ -20,7 +25,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fiberwalk.encode import cell_value_bound, encode_fiber
-from fiberwalk.enumeration import hit_cut
+from fiberwalk.enumeration import enumerate_fiber, hit_cut
 from fiberwalk.mle import ChiSquare, fit_loglinear
 from fiberwalk.models import (
     Independence,
@@ -38,6 +43,7 @@ from fiberwalk.sampling import (
     SamplerExitError,
     make_rng,
 )
+import fiberwalk.walk as walk_module
 from fiberwalk.walk import (
     Alternating,
     MovesOnly,
@@ -215,8 +221,6 @@ def test_empirical_tv_hand_values():
 def test_walk_reaches_rho_on_tiny_fiber():
     """Long MovesOnly walk matches the enumerated target within a
     loose TV budget."""
-    from fiberwalk.enumeration import enumerate_fiber
-
     rec = run_walk(SPEC, U0, MovesOnly(), MOVES, None, 40_000, count_stat, seed=9, count_states=True)
     rho = rho_distribution(list(enumerate_fiber(SPEC)))
     tv = empirical_tv(rec.state_counts, rho)
@@ -305,14 +309,15 @@ def _golden_run(case, walker=run_walk):
 
 GOLDEN_RECORDS = {
     # aborts at SAT step 66, on the sampler's fourth call: 65 steps
-    "abort-alternating-3/fail-after-3": "547168bec96391dc653e2f54a3ca210fab73a49e249ca2897bee11b0e18db5eb",
+    # (the alternating runs' p is after 3,000 steps; exact p by enumeration)
+    "abort-alternating-3/fail-after-3": "873dd2256e34a0343377110e29c97df8dc9316379c6252a0620f104aa7056ae2",
     "abort-parallel-7-5/fail-at-once": "16e19c80b2b6d5e96f414a12560c8b5e787fd6c01c45d1af5e62707146e1de7c",
-    "alternating-10/biased": "698470c3d4e95a6437cb9b7df65b63859d0c292177ea1544332c9fbcc494ef3b",
-    "alternating-10/uniform": "6023175bd4c60388efbc450674f60a3adfaa6f9ee35abffdccd2b2921f54f225",
-    "alternating-3/biased": "ca98e852d88c48d83377570050af2748fa3efea3610ea7b0f3185aeca88fdb51",
-    "alternating-3/uniform": "f9a46c118a50b88b22194f89ad5cb9d67de2a3a1393b6e0fb2e6450d2b6f0aa0",
+    "alternating-10/biased": "d2801d04368ced5e233912e480e3de49d22352b946205ae7ee4a2962a2063793",  # p 0.8763, exact 0.8714
+    "alternating-10/uniform": "45c63cabdd9356bc533e98f3b74aedd69531904d68fcde40a1e489b7919e30fb",  # p 0.8923, exact 0.8714
+    "alternating-3/biased": "46697833a62ee1d690036c6a2ba8ffa6e2739f249cef50b8ebaef23e31c9acc1",  # p 0.8820, exact 0.8714
+    "alternating-3/uniform": "57ff6dae35a40e8aae0ba4ab966d623d0b0bdbc0a34fcf9b7294f2c43445f38e",  # p 0.8747, exact 0.8714
     "moves-only/uniform": "5dfafe237c7526c3e6d032566f04c28017986a76fce14ebbb83d0309aa3df8b5",
-    "n3f-alternating-2/uniform": "0fef325f9984002e908f8d59c9c764e504f77543c6e8be6e6a69f1f514b62d21",
+    "n3f-alternating-2/uniform": "4ffbe4742d587ffc955fbb6b0af9b0caa1bdc75fd4d7842da96277371375177a",  # p 0.3080, exact 0.3184
     "parallel-7-5/biased": "17579e5f1f9a651d5a6bc8c63f40b065de44a318dfa585fb674d485b1059dd57",
     "parallel-7-5/uniform": "6822cc30ccf7dd8b9a0792880a6303e33cc12b56825fba1d35a3a7b43acc5564",
     "sat-only/biased": "34427a2374c131129eb5d35546e72f8737b4e56e7f048d9adc72faf7578e79b1",
@@ -357,7 +362,7 @@ def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_s
     encoding = encode_fiber(spec)
     chunk = min(max(1, N // period), 8192) if period else getattr(schedule, "k", 1)
 
-    def proposals():
+    def batches():
         while True:
             for _ in range(16):
                 batch = sampler.sample(encoding, chunk, int(sched_rng.integers(1 << 62)))
@@ -365,7 +370,29 @@ def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_s
                     break
             else:
                 raise SamplerError("sampler repeatedly returned no valid elements")
+            yield batch
+
+    def proposals():
+        for batch in batches():
             yield from batch
+
+    pool = {}  # D: cells -> log rho, oldest first
+
+    def pool_picks():
+        """Each batch's new tables join D in order of first appearance,
+        the oldest leave D past the cap, and the batch's SAT steps pick
+        their tables from rho on that D."""
+        for batch in batches():
+            for t in batch:
+                if t.cells not in pool:
+                    pool[t.cells] = -sum(lg(c + 1) for c in t.cells)
+            while len(pool) > walk_module._POOL_CAP:
+                del pool[next(iter(pool))]
+            cells = list(pool)
+            logw = np.array([pool[c] for c in cells])
+            w = np.exp(logw - logw.max())
+            for k in sched_rng.choice(len(cells), size=len(batch), p=w / w.sum()).tolist():
+                yield cells[k]
 
     def move_stream(rng):
         while True:
@@ -403,6 +430,13 @@ def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_s
             lw = -sum(lg(c + 1) for c in proposal.cells)
             return self.accept(lw - self.logw, list(proposal.cells), lw)
 
+        def pool_step(self, cells):
+            if tuple(self.cur) not in pool:
+                return False
+            self.cur = list(cells)
+            self.logw = pool[cells]
+            return True
+
         def accept(self, s, new, logw):
             u = next(self.unif)
             if s >= 0 or u < math.exp(s):
@@ -422,6 +456,8 @@ def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_s
         counts[cells] = counts.get(cells, 0) + 1
 
     feed = None if isinstance(schedule, MovesOnly) else proposals()
+    if period > 1:
+        feed = pool_picks()
     reason, walkers, initial = None, [], 0
     try:
         if isinstance(schedule, ParallelStarts):
@@ -437,7 +473,9 @@ def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_s
             walkers = [Walker(u_obs, make_rng(seed, 1))]
             w = walkers[0]
             for t in range(1, N + 1):
-                if period and t % period == 0:
+                if period > 1 and t % period == 0:
+                    record(w.pool_step(next(feed)), tuple(w.cur), 1)
+                elif period and t % period == 0:
                     record(w.sat_step(next(feed)), tuple(w.cur), 1)
                 else:
                     record(w.move_step(), tuple(w.cur), 0)
@@ -457,6 +495,7 @@ def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_s
         state_counts=counts if count_states else None,
         aborted=reason is not None,
         abort_reason=reason,
+        pool_size=len(pool),
     )
 
 
@@ -465,7 +504,7 @@ def assert_same_record(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     for name in ("hits", "steps", "sat_steps", "move_steps", "threshold", "finals",
-                 "state_counts", "aborted", "abort_reason"):
+                 "state_counts", "aborted", "abort_reason", "pool_size"):
         assert getattr(got, name) == getattr(want, name), name
     assert type(got.hits) is int
 
@@ -589,3 +628,158 @@ def test_short_walk_on_a_large_table_costs_what_its_steps_cost():
     assert elapsed < 0.5
     assert peak < 2_000_000
     assert_same_record(rec, reference_walk(*walk, seed=3))
+
+
+# -- the pooled SAT step: exact kernels, the cap on D, and |D| on the record
+
+
+def _criterion_04_fiber():
+    """[[a, 3 - a], [3 - a, a]] for a = 0..3, its rho and its hits."""
+    u = Table((0, 3, 3, 0), (2, 2))
+    spec = fiber_spec_from_observation(Independence((2, 2)), u)
+    fiber = list(enumerate_fiber(spec))
+    rho = rho_distribution(fiber)
+    stat = ChiSquare(fit_loglinear(spec.matrix, u).pi, u.n)
+    cut = hit_cut(stat(u.cells))
+    hits = np.array([stat(t.cells) >= cut for t in fiber])
+    return fiber, np.array([rho[t.cells] for t in fiber]), hits
+
+
+def move_kernel(fiber, rho, moves):
+    """Basic-move Metropolis-Hastings: a uniform move and sign, a
+    self-loop off the orthant, acceptance min(1, rho(v) / rho(u))."""
+    index = {t.cells: i for i, t in enumerate(fiber)}
+    P = np.zeros((len(fiber), len(fiber)))
+    for i, t in enumerate(fiber):
+        for mv in moves:
+            for sign in (-1, 1):
+                cells = list(t.cells)
+                for j, dl in zip(mv.support, mv.deltas):
+                    cells[j] += sign * dl
+                if min(cells) >= 0:
+                    k = index[tuple(cells)]
+                    P[i, k] += min(1.0, rho[k] / rho[i]) / (2 * len(moves))
+        P[i, i] += 1.0 - P[i].sum()
+    return P
+
+
+def pooled_kernel(rho, D):
+    """K_D: from a state in D, a draw from rho on D; elsewhere, stay."""
+    K = np.eye(len(rho))
+    for i in D:
+        K[i] = 0.0
+        K[i, D] = rho[D] / rho[D].sum()
+    return K
+
+
+@pytest.mark.parametrize("n", [2, 10, 50])
+def test_pooled_step_after_moves_keeps_rho_for_every_pool(n):
+    """rho P^(n-1) K_D = rho for every nonempty D on criterion 04's
+    fiber: each period of Alternating(n) keeps rho whatever D the
+    sampler's draws made."""
+    fiber, rho, _ = _criterion_04_fiber()
+    assert rho * 20 == pytest.approx([1, 9, 9, 1], abs=1e-12)
+    period = rho @ np.linalg.matrix_power(move_kernel(fiber, rho, MOVES), n - 1)
+    for size in range(1, len(fiber) + 1):
+        for D in itertools.combinations(range(len(fiber)), size):
+            got = period @ pooled_kernel(rho, list(D))
+            assert np.abs(got - rho).max() < 1e-12, D
+
+
+def test_rho_only_independence_step_with_a_tilted_sampler_is_biased():
+    """The SatOnly kernel with the strength-2 tilted law q(v) ~ exp(2 v_0)
+    and acceptance min(1, rho(v) / rho(u)) has a stationary p-value more
+    than 0.02 from the exact 0.1: the bias criterion 04 simulates."""
+    fiber, rho, hits = _criterion_04_fiber()
+    assert rho[hits].sum() == pytest.approx(0.1, abs=1e-12)
+    q = np.exp(2.0 * np.array([t.cells[0] for t in fiber]))
+    q /= q.sum()
+    K = q[None, :] * np.minimum(1.0, rho[None, :] / rho[:, None])
+    np.fill_diagonal(K, 0.0)
+    np.fill_diagonal(K, 1.0 - K.sum(axis=1))
+    # the stationary law solves pi (K - I) = 0 with sum(pi) = 1
+    A = np.vstack([(K - np.eye(len(fiber))).T, np.ones(len(fiber))])
+    pi = np.linalg.lstsq(A, np.r_[np.zeros(len(fiber)), 1.0], rcond=None)[0]
+    assert np.abs(pi @ K - pi).max() < 1e-12
+    assert abs(pi[hits].sum() - 0.1) > 0.02
+
+
+class RecordingSampler:
+    """The uniform sampler's first ``per_call`` draws per call; keeps
+    every batch it returns."""
+
+    def __init__(self, per_call):
+        self.inner = InternalUniformSampler()
+        self.per_call = per_call
+        self.batches = []
+
+    def sample(self, encoding, count, seed):
+        batch = self.inner.sample(encoding, count, seed)[: self.per_call]
+        self.batches.append(batch)
+        return batch
+
+
+def test_pool_keeps_the_newest_tables_past_its_cap(monkeypatch):
+    """With D capped at 40 tables of a 282-element fiber, the oldest
+    tables leave D as new ones join, the sampler is still called once
+    per batch of SAT steps, and the run equals the reference walker's."""
+    monkeypatch.setattr(walk_module, "_POOL_CAP", 40)
+    u = Table((1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1), (4, 4))
+    spec = fiber_spec_from_observation(Independence((4, 4)), u)
+    moves = basic_moves_two_way((4, 4))
+    run = (spec, u, Alternating(3), moves)
+    sam = RecordingSampler(per_call=10)
+    rec = run_walk(*run, sam, 3000, weighted_squares, seed=5)
+    assert rec.pool_size == 40
+    assert len({t.cells for batch in sam.batches for t in batch}) > 40
+    assert rec.sat_steps == 1000 == 10 * len(sam.batches)
+    assert_same_record(rec, reference_walk(*run, RecordingSampler(per_call=10), 3000,
+                                           weighted_squares, seed=5))
+
+
+def test_pool_below_a_component_still_crosses_a_disconnected_fiber(monkeypatch):
+    """Criterion 09's fiber: two components of three tables that basic
+    moves cannot join.  With D capped at two tables it never holds a
+    whole component, yet D changes with every batch, so the walk visits
+    all six tables and its p lands within 0.01 of the exact 1/12.  A D
+    frozen at its first two tables strands this seed in one component
+    (three tables visited, p off by 0.08)."""
+    monkeypatch.setattr(walk_module, "_POOL_CAP", 2)
+    zeros = [(0, 2), (1, 0), (2, 1)]
+    zeros += [(i, j) for i in range(3) for j in (3, 4)]
+    zeros += [(i, j) for i in (3, 4) for j in range(3)]
+    cells = np.zeros((5, 5), dtype=int)
+    cells[0, 0] = cells[1, 1] = cells[2, 2] = 1
+    cells[3, 3] = cells[4, 4] = 2
+    u = Table.from_array(cells)
+    spec = fiber_spec_from_observation(QuasiIndependence((5, 5), tuple(zeros)), u)
+    moves = basic_moves_two_way((5, 5), spec.zero_set())
+    free = [j for j in range(25) if j not in spec.zero_set()]
+    w = np.zeros(25)
+    w[free] = 1.0 + 0.35 * np.arange(len(free))
+    stat = ChiSquare(w / w.sum(), u.n, spec.structural_zeros)
+    exact = rho_distribution(list(enumerate_fiber(spec)))
+    cut = hit_cut(stat(u.cells))
+    p_exact = sum(p for c, p in exact.items() if stat(c) >= cut)
+    assert p_exact == pytest.approx(1 / 12, abs=1e-12)
+    rec = run_walk(spec, u, Alternating(10), moves, RecordingSampler(per_call=5), 40_000,
+                   stat, seed=4244, count_states=True)
+    assert rec.pool_size == 2
+    assert set(rec.state_counts) == set(exact)
+    assert abs(rec.p_final - p_exact) <= 0.01
+
+
+def test_pool_size_is_the_distinct_draws_of_a_pooled_run():
+    """``pool_size`` is |D| for the pooled step of Alternating(n >= 2)
+    and 0 for every schedule without it."""
+    u0 = Table((2, 1, 0, 1, 1, 1, 0, 1, 2), (3, 3))
+    spec = fiber_spec_from_observation(Independence((3, 3)), u0)
+    moves = basic_moves_two_way((3, 3))
+    sam = RecordingSampler(per_call=7)
+    rec = run_walk(spec, u0, Alternating(4), moves, sam, 400, count_stat, seed=2)
+    assert rec.pool_size == len({t.cells for batch in sam.batches for t in batch})
+    assert 0 < rec.pool_size < 55
+    for schedule in (MovesOnly(), SatOnly(), Alternating(1), ParallelStarts(4, 3)):
+        rec = run_walk(spec, u0, schedule, moves, InternalUniformSampler(), 400, count_stat,
+                       seed=2)
+        assert rec.pool_size == 0, schedule
