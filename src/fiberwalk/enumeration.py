@@ -1,12 +1,13 @@
 """Exhaustive fiber enumeration: the brute-force oracle.
 
-Cells are assigned in flat (row-major) order by depth-first
-backtracking, each over its values in ascending order, so elements come
-in lexicographic order of their flat cells.  At each cell the value
-range is clipped from above by every constraint row covering the cell
-(value <= residual / coefficient) and from below by how much the
-remaining cells can still contribute to each residual.  The search
-does its arithmetic on plain Python ints in one generator frame.
+Cells are assigned in flat (row-major) order, each over its values in
+ascending order, so elements come in lexicographic order of their flat
+cells.  At each cell the value range is clipped from above by every
+constraint row covering the cell (value <= residual / coefficient) and
+from below by how much the remaining cells can still contribute to
+each residual.  The search steps a block of partial tables one cell at
+a time in numpy; a block whose children would pass ``_BLOCK_ROWS``
+rows runs as two halves in order, so memory stays bounded.
 
 Exceeding the element cap marks the enumeration incomplete instead of
 aborting, keeping the first ``cap`` elements in that order; operations
@@ -27,10 +28,12 @@ the CNF encoder and the walker.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 from .models import FiberSpec, Table, write_table
 
@@ -54,6 +57,10 @@ DEFAULT_CAP = 10_000_000
 # enumerating samplers, move-graph components and the sampler diagnosis
 FULL_FIBER_CAP = 1_000_000
 
+# rows of a block past which its children are split (8,192 raised the
+# peak RSS of an exact-n3f test; 2,048 did not)
+_BLOCK_ROWS = 2048
+
 # relative tie tolerance of the hit rule, as in R's fisher.test
 TIE_TOLERANCE = 1e-7
 
@@ -62,21 +69,27 @@ class FiberTooLarge(Exception):
     """An operation needed the complete fiber but the cap was hit."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberEnumeration:
     """Enumerated fiber elements plus a completeness marker.
 
+    ``cells`` holds the elements as the rows of a (k, d) integer array
+    in enumeration order; ``elements`` builds their Tables on first read.
     When ``complete`` is False the fiber holds more than ``cap``
-    elements and ``elements`` is only the first ``cap`` of them in
-    enumeration order.
+    elements and only the first ``cap`` of them are kept.
     """
 
-    elements: tuple[Table, ...]
+    cells: np.ndarray
+    shape: tuple[int, ...]
     complete: bool
     cap: int
 
+    @cached_property
+    def elements(self) -> tuple[Table, ...]:
+        return tuple(Table._trusted(c, self.shape) for c in _rows(self.cells))
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.cells)
 
     def __iter__(self):
         return iter(self.elements)
@@ -89,79 +102,67 @@ class FiberEnumeration:
         return self
 
 
-def iter_fiber(spec: FiberSpec) -> Iterator[Table]:
-    """Yield fiber elements in lexicographic order of their flat cells."""
+def fiber_blocks(spec: FiberSpec) -> Iterator[np.ndarray]:
+    """Fiber elements as (k, d) blocks of rows, in lexicographic order
+    of their flat cells: the one search every enumeration runs.  The
+    search works in int64; a block has the smallest signed integer type
+    that holds every margin, so every cell (int8 up to 127)."""
+    if max(spec.margins, default=0) * spec.d >= 1 << 63:  # bounds past int64
+        raise ValueError("margins too large to enumerate")
     A = spec.matrix.entries
-    b = spec.margins
-    zeros = spec.zero_set()
-    order = [j for j in range(spec.d) if j not in zeros]
-    m = len(order)
-    terms = [
-        tuple((i, int(A[i, j])) for i in spec.matrix.col_support[j]) for j in order
-    ]
+    b = np.asarray(spec.margins, dtype=np.int64)
+    order = [j for j in range(spec.d) if j not in spec.structural_zeros]
+    rows = [np.asarray(spec.matrix.col_support[j]) for j in order]
+    coef = [A[r, j] for r, j in zip(rows, order)]
 
     # per-cell cap from the original margins: min over covering rows of
     # b_i // A_ij (sound at every node since residuals only shrink)
-    root_cap = [min((b[i] // a for i, a in ts), default=0) for ts in terms]
+    root_cap = [int((b[r] // a).min()) for r, a in zip(rows, coef)]
+    # rest[i, t]: the most the cells after order[t] can add to row i
+    most = A[:, order] * root_cap
+    rest = most[:, ::-1].cumsum(axis=1)[:, ::-1] - most
 
-    # bounds[t] holds (i, A_ij, remaining_contrib) for each row i covering
-    # cell order[t], where remaining_contrib is the max total the cells
-    # order[t+1:] can add to constraint i; it gives the lower bound
-    remaining_contrib = [0] * len(b)
-    bounds: list[tuple[tuple[int, int, int], ...]] = [()] * m
-    for t in range(m - 1, -1, -1):
-        bounds[t] = tuple((i, a, remaining_contrib[i]) for i, a in terms[t])
-        for i, a in terms[t]:
-            remaining_contrib[i] += a * root_cap[t]
-
-    residual = list(b)
-    values = [0] * spec.d
-    vmaxes = [0] * m
-    t = 0
-    while True:
-        # descend from depth t, giving each cell its smallest feasible value
-        while t < m:
-            vmax = root_cap[t]
-            vmin = 0
-            for i, a, rem in bounds[t]:
-                r = residual[i]
-                q = r // a
-                if q < vmax:
-                    vmax = q
-                need = r - rem
-                if need > 0:
-                    lo = -(-need // a)  # ceil division
-                    if lo > vmin:
-                        vmin = lo
-            if vmin > vmax:
+    # depth, values of the cells order[:depth], residual margins: one
+    # row per partial table, the blocks in order, the first on top
+    stack = [(0, np.zeros((1, 0), np.int64), b[None, :])]
+    while stack:
+        t, vals, res = stack.pop()
+        while t < len(order) and len(vals):
+            r, a = rows[t], coef[t]
+            sub = res[:, r]
+            hi = np.minimum((sub // a).min(axis=1), root_cap[t])
+            lo = np.maximum((-((rest[r, t] - sub) // a)).max(axis=1), 0)  # ceil division
+            count = np.maximum(hi - lo + 1, 0)
+            if count.sum() > _BLOCK_ROWS and len(vals) > 1:
+                half = len(vals) // 2
+                stack += [(t, vals[half:], res[half:]), (t, vals[:half], res[:half])]
                 break
-            values[order[t]] = vmin
-            if vmin:
-                for i, a, _ in bounds[t]:
-                    residual[i] -= a * vmin
-            vmaxes[t] = vmax
+            # each row's children, its values ascending, in row order
+            parent = np.repeat(np.arange(len(vals)), count)
+            v = lo[parent] + np.arange(len(parent)) - (np.cumsum(count) - count)[parent]
+            vals = np.column_stack((vals[parent], v))
+            res = res[parent]
+            res[:, r] -= v[:, None] * a
             t += 1
         else:
-            if not any(residual):
-                yield Table(cells=tuple(values), shape=spec.shape)
-        # back up to the deepest cell still below its upper bound, step it
-        t -= 1
-        while t >= 0:
-            j = order[t]
-            v = values[j]
-            if v < vmaxes[t]:
-                values[j] = v + 1
-                for i, a, _ in bounds[t]:
-                    residual[i] -= a
-                break
-            if v:
-                for i, a, _ in bounds[t]:
-                    residual[i] += a * v
-                values[j] = 0
-            t -= 1
-        if t < 0:
-            return
-        t += 1
+            done = vals[~res.any(axis=1)]
+            if len(done):
+                block = np.zeros((len(done), spec.d), np.min_scalar_type(-1 - int(b.max())))
+                block[:, order] = done
+                yield block
+
+
+def _rows(cells: np.ndarray) -> Iterator[tuple[int, ...]]:
+    """The rows of a cell array as tuples of ints, a block at a time:
+    one list of lists for all of them would raise the peak RSS."""
+    for a in range(0, len(cells), _BLOCK_ROWS):
+        yield from map(tuple, cells[a:a + _BLOCK_ROWS].tolist())
+
+
+def iter_fiber(spec: FiberSpec) -> Iterator[Table]:
+    """Yield fiber elements in lexicographic order of their flat cells."""
+    for block in fiber_blocks(spec):
+        yield from (Table._trusted(c, spec.shape) for c in _rows(block))
 
 
 def _check_cap(cap: int) -> None:
@@ -173,17 +174,24 @@ def enumerate_fiber(spec: FiberSpec, cap: int = DEFAULT_CAP) -> FiberEnumeration
     """Enumerate up to ``cap`` fiber elements; marks the result
     incomplete (rather than raising) when more exist."""
     _check_cap(cap)
-    elements = tuple(itertools.islice(iter_fiber(spec), cap + 1))
-    return FiberEnumeration(elements=elements[:cap], complete=len(elements) <= cap, cap=cap)
+    blocks, found = [np.zeros((0, spec.d), np.int8)], 0
+    for block in fiber_blocks(spec):
+        blocks.append(block)
+        found += len(block)
+        if found > cap:
+            break
+    return FiberEnumeration(np.concatenate(blocks)[:cap], spec.shape, found <= cap, cap)
 
 
 def fiber_size(spec: FiberSpec, cap: int = DEFAULT_CAP) -> int:
     """Exact number of fiber elements; raises :class:`FiberTooLarge`
     past the cap."""
     _check_cap(cap)
-    count = sum(1 for _ in itertools.islice(iter_fiber(spec), cap + 1))
-    if count > cap:
-        raise FiberTooLarge(f"fiber exceeds cap of {cap} elements")
+    count = 0
+    for block in fiber_blocks(spec):
+        count += len(block)
+        if count > cap:
+            raise FiberTooLarge(f"fiber exceeds cap of {cap} elements")
     return count
 
 
@@ -193,12 +201,26 @@ def log_rho_unnormalized(u: Table | Sequence[int]) -> float:
     return -sum(math.lgamma(c + 1) for c in cells)
 
 
-def rho_weights(tables: Sequence[Table]) -> list[float]:
-    """Target weights exp(log rho(u) - max log rho), the largest 1, so
-    that no weight underflows before the sum."""
-    logw = [log_rho_unnormalized(u) for u in tables]
-    m = max(logw)
-    return [math.exp(lw - m) for lw in logw]
+def log_rho_rows(rows: np.ndarray) -> np.ndarray:
+    """log rho of each row of a (k, d) cell array, summed cell by cell
+    from the left as :func:`log_rho_unnormalized` sums, so the bits
+    agree."""
+    top = int(rows.max(initial=0))
+    # lgamma of every value up to the largest, unless the distinct ones are fewer
+    values, index = (range(top + 1), rows) if top < rows.size else np.unique(rows, return_inverse=True)
+    lf = np.array([math.lgamma(int(v) + 1) for v in values])
+    total = np.zeros(len(rows))
+    for col in index.reshape(rows.shape).T:
+        total += lf[col]
+    return -total
+
+
+def rho_weights(rows: np.ndarray) -> list[float]:
+    """Target weights of the rows of a cell array, exp(log rho(u) - max
+    log rho), the largest 1, so that no weight underflows before the
+    sum; math.exp, as np.exp can differ in the last bit."""
+    logw = log_rho_rows(rows)
+    return list(map(math.exp, (logw - logw.max()).tolist()))
 
 
 def hit_cut(observed: float) -> float:
@@ -217,11 +239,11 @@ def exact_p_from_enumeration(
     with the walker.
     """
     enum.require_complete()
-    if not enum.elements:
+    if not len(enum):
         raise ValueError("empty fiber")
     cut = hit_cut(stat_threshold)
-    weights = rho_weights(enum.elements)
-    hits = [w for u, w in zip(enum.elements, weights) if stat(u.cells) >= cut]
+    weights = rho_weights(enum.cells)
+    hits = [w for c, w in zip(_rows(enum.cells), weights) if stat(c) >= cut]
     return math.fsum(hits) / math.fsum(weights)
 
 
@@ -243,4 +265,4 @@ def write_enumeration(enum: FiberEnumeration, sink: TextIO) -> None:
     for u in enum.elements:
         write_table(u, sink)
         sink.write("\n")
-    sink.write(f"# {len(enum.elements)} elements, complete={enum.complete}\n")
+    sink.write(f"# {len(enum)} elements, complete={enum.complete}\n")

@@ -86,6 +86,14 @@ class Table:
         if min(self.cells) < 0:
             raise ValueError("table cells must be nonnegative")
 
+    @classmethod
+    def _trusted(cls, cells: tuple[int, ...], shape: tuple[int, ...]) -> "Table":
+        """Unchecked: for int tuples known to fit ``shape``, at a tenth of the cost."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "cells", cells)
+        object.__setattr__(t, "shape", shape)
+        return t
+
     @property
     def n(self) -> int:
         return sum(self.cells)

@@ -314,13 +314,13 @@ class _EnumeratingSampler:
         default_factory=dict, init=False, repr=False
     )
 
-    def _law(self, spec: FiberSpec, elements: tuple[Table, ...]) -> np.ndarray | None:
+    def _law(self, spec: FiberSpec, cells: np.ndarray) -> np.ndarray | None:
         return None
 
     def _dist(self, spec: FiberSpec) -> tuple[tuple[Table, ...], np.ndarray | None]:
         if spec not in self._cache:
-            elements = enumerate_fiber(spec, cap=FULL_FIBER_CAP).require_complete().elements
-            self._cache[spec] = (elements, self._law(spec, elements))
+            enum = enumerate_fiber(spec, cap=FULL_FIBER_CAP).require_complete()
+            self._cache[spec] = (enum.elements, self._law(spec, enum.cells))
         return self._cache[spec]
 
     def sample(self, encoding: CNFEncoding, count: int, seed: int) -> list[Table]:
@@ -342,12 +342,12 @@ class InternalBiasedSampler(_EnumeratingSampler):
 
     strength: float = SamplerConfig.bias_strength
 
-    def _law(self, spec: FiberSpec, elements: tuple[Table, ...]) -> np.ndarray:
+    def _law(self, spec: FiberSpec, cells: np.ndarray) -> np.ndarray:
         zeros = spec.zero_set()
         first = next((j for j in range(spec.d) if j not in zeros), None)
         if first is None:
             raise ValueError("every cell is a structural zero")
-        logw = np.array([self.strength * u.cells[first] for u in elements], dtype=float)
+        logw = self.strength * cells[:, first].astype(float)
         logw -= logw.max() if len(logw) else 0.0
         w = np.exp(logw)
         return w / w.sum()

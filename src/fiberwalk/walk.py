@@ -70,7 +70,7 @@ import numpy as np
 
 from .encode import CNFEncoding, cell_value_bound, encode_fiber
 from .enumeration import (
-    FULL_FIBER_CAP, enumerate_fiber, hit_cut, rho_weights,
+    FULL_FIBER_CAP, enumerate_fiber, hit_cut, log_rho_rows, rho_weights,
 )
 from .models import FiberSpec, Table
 from .moves import MoveSet
@@ -254,7 +254,7 @@ class _Pool:
         self.cells: list[tuple[int, ...]] = []
         self.logw = self.probs = np.empty(0)
 
-    def add(self, batch: list[Table], lf) -> None:
+    def add(self, batch: list[Table]) -> None:
         """Add the batch's tables that D lacks, drop the oldest past the
         cap, and renormalize rho on D."""
         index, cells, new = self.index, self.cells, []
@@ -263,10 +263,10 @@ class _Pool:
             if c not in index:
                 index[c] = None
                 cells.append(c)
-                new.append(-sum(map(lf.__getitem__, c)))
+                new.append(c)
         if not new:
             return
-        self.logw = np.concatenate((self.logw, new))
+        self.logw = np.concatenate((self.logw, log_rho_rows(np.array(new))))
         drop = len(cells) - _POOL_CAP
         if drop > 0:
             for c in cells[:drop]:
@@ -284,13 +284,13 @@ class _Pool:
         return memoryview(rng.choice(len(self.cells), size=size, p=self.probs))
 
 
-def _pool_picks(batches: Iterator[list[Table]], pool: _Pool, lf,
+def _pool_picks(batches: Iterator[list[Table]], pool: _Pool,
                 sched_rng) -> Iterator[memoryview]:
     """The pooled SAT steps' picks, one array per batch: each batch
     joins D as it arrives and gives its SAT steps their picks from rho
     on the new D."""
     for batch in batches:
-        pool.add(batch, lf)
+        pool.add(batch)
         yield pool.picks(sched_rng, len(batch))
 
 
@@ -474,7 +474,7 @@ def run_walk(
     try:
         if period > 1:  # move steps between SAT steps: the pooled step
             pool = _Pool()
-            feed = _pool_picks(batches, pool, lf, sched_rng)
+            feed = _pool_picks(batches, pool, sched_rng)
             left = N // period
             while left:
                 try:
@@ -573,7 +573,7 @@ def rho_distribution(fiber: Sequence[Table]) -> dict[tuple[int, ...], float]:
     fiber, via log-sum-exp."""
     if not fiber:
         raise ValueError("empty fiber")
-    ws = rho_weights(fiber)
+    ws = rho_weights(np.array([u.cells for u in fiber]))
     z = sum(ws)
     return {u.cells: w / z for u, w in zip(fiber, ws)}
 

@@ -15,9 +15,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import fiberwalk.enumeration as enumeration
 from fiberwalk.enumeration import (
     FiberTooLarge,
     enumerate_fiber,
@@ -25,6 +27,8 @@ from fiberwalk.enumeration import (
     exact_p_value,
     fiber_size,
     hit_cut,
+    iter_fiber,
+    log_rho_rows,
     log_rho_unnormalized,
     write_enumeration,
 )
@@ -32,6 +36,7 @@ from fiberwalk.mle import ChiSquare, fit_loglinear
 from fiberwalk.models import (
     ConstraintMatrix,
     FiberSpec,
+    Hierarchical,
     Independence,
     NoThreeWay,
     QuasiIndependence,
@@ -106,6 +111,12 @@ def test_negative_cap_is_refused():
         enumerate_fiber(spec, cap=-1)
     with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
         fiber_size(spec, cap=-1)
+
+
+def test_margins_past_the_int64_search_are_refused():
+    spec = FiberSpec(Independence((2, 2)).matrix, (2**62, 0, 2**62, 0), (), (2, 2))
+    with pytest.raises(ValueError, match="margins too large to enumerate"):
+        enumerate_fiber(spec)
 
 
 def test_log_rho_matches_lgamma():
@@ -309,6 +320,130 @@ def test_all_structural_zeros(b, size):
     assert enum.complete
     assert [u.cells for u in enum] == [(0, 0, 0, 0)] * size
     assert fiber_size(spec) == size
+
+
+# -- a per-cell reference search: the block search must match it
+# element by element, in order, at every cap
+
+
+def reference_fiber(spec):
+    """Fiber elements by depth-first backtracking, one cell at a time in
+    flat order, each over its values ascending, between the bounds the
+    block search uses: at most min_i residual_i // A_ij and at least
+    what the later cells cannot add to any residual."""
+    A = spec.matrix.entries
+    zeros = spec.zero_set()
+    order = [j for j in range(spec.d) if j not in zeros]
+    terms = [[(i, int(A[i, j])) for i in spec.matrix.col_support[j]] for j in order]
+    caps = [min(spec.margins[i] // a for i, a in ts) for ts in terms]
+    rests = []  # per cell: the max the later cells add to each row
+    for t in range(len(order)):
+        rests.append({i: sum(a * caps[s] for s in range(t + 1, len(order))
+                             for k, a in terms[s] if k == i) for i, _ in terms[t]})
+    values = [0] * spec.d
+
+    def descend(t, residual):
+        if t == len(order):
+            if not any(residual):
+                yield tuple(values)
+            return
+        hi = min([caps[t]] + [residual[i] // a for i, a in terms[t]])
+        lo = max([0] + [-(-(residual[i] - rests[t][i]) // a) for i, a in terms[t]])
+        for v in range(lo, hi + 1):
+            values[order[t]] = v
+            rest = list(residual)
+            for i, a in terms[t]:
+                rest[i] -= a * v
+            yield from descend(t + 1, rest)
+        values[order[t]] = 0
+
+    return descend(0, list(spec.margins))
+
+
+@st.composite
+def quasi_fibers(draw):
+    r, c = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    zeros = draw(st.sets(st.tuples(st.integers(0, r - 1), st.integers(0, c - 1)), max_size=3))
+    cells = draw(st.lists(st.integers(0, 3), min_size=r * c, max_size=r * c))
+    cells = [0 if divmod(j, c) in zeros else v for j, v in enumerate(cells)]
+    return spec_of(QuasiIndependence((r, c), zeros), cells, (r, c))
+
+
+@st.composite
+def n3f_fibers(draw):
+    d = draw(st.integers(2, 3))
+    cells = draw(st.lists(st.integers(0, 4 if d == 2 else 1), min_size=d ** 3, max_size=d ** 3))
+    return spec_of(NoThreeWay(d), cells, (d, d, d))
+
+
+@st.composite
+def hierarchical_fibers(draw):
+    shape = tuple(draw(st.lists(st.integers(2, 3), min_size=2, max_size=3)))
+    axes = range(len(shape))
+    subsets = [f for k in range(1, len(shape)) for f in itertools.combinations(axes, k)]
+    faces = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=3, unique=True))
+    cells = draw(st.lists(st.integers(0, 2), min_size=math.prod(shape), max_size=math.prod(shape)))
+    flat_zeros = draw(st.sets(st.integers(0, math.prod(shape) - 1), max_size=2))
+    zeros = [tuple(int(x) for x in np.unravel_index(j, shape)) for j in flat_zeros]
+    cells = [0 if j in flat_zeros else v for j, v in enumerate(cells)]
+    return spec_of(Hierarchical(shape, faces, zeros), cells, shape)
+
+
+ALL_ZERO_SPECS = [
+    FiberSpec(ConstraintMatrix([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]),
+              b, (0, 1, 2, 3), (2, 2))
+    for b in ((0, 0, 0, 0), (0, 1, 0, 1))
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(quasi_fibers(), n3f_fibers(), hierarchical_fibers(), st.sampled_from(ALL_ZERO_SPECS)),
+    st.sampled_from([1, 2, 3, 16, enumeration._BLOCK_ROWS]),
+)
+def test_block_search_matches_the_reference_search(spec, rows):
+    """Same elements in the same order, and the same ``complete`` flags
+    at caps around the size, also with blocks split down to one row."""
+    want = list(itertools.islice(reference_fiber(spec), 301))
+    assume(len(want) <= 300)
+    size = len(want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_BLOCK_ROWS", rows)
+        assert [u.cells for u in iter_fiber(spec)] == want
+        for cap in {0, max(size - 1, 0), size, size + 1}:
+            enum = enumerate_fiber(spec, cap=cap)
+            assert enum.cells.shape == (min(size, cap), spec.d)
+            assert [u.cells for u in enum.elements] == want[:cap]
+            assert enum.complete == (size <= cap)
+        assert fiber_size(spec) == size
+        if size:
+            with pytest.raises(FiberTooLarge):
+                fiber_size(spec, cap=size - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([np.int8, np.int16, np.int64]), st.data())
+def test_log_rho_rows_has_the_bits_of_log_rho_unnormalized(dtype, data):
+    """Bit for bit on both routes: small values (an lgamma table up to
+    the largest) and values past the number of cells (distinct ones)."""
+    top = np.iinfo(dtype).max if dtype is not np.int64 else 10**7
+    k, d = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.lists(st.integers(0, top), min_size=d, max_size=d),
+                              min_size=k, max_size=k))
+    got = log_rho_rows(np.array(rows, dtype=dtype))
+    assert got.tolist() == [log_rho_unnormalized(r) for r in rows]
+
+
+def test_exact_p_and_size_build_no_tables(monkeypatch):
+    """Both read the search's arrays: Tables are built only when an
+    enumeration's elements are read."""
+    spec = spec_of(*ORDER_FIBERS["n3f-3x3x3"])
+    enum = enumerate_fiber(spec)
+    want = exact_p_value(spec, 10.0, lambda c: float(c[0]))
+    monkeypatch.setattr(Table, "_trusted", None)
+    assert exact_p_from_enumeration(enum, 10.0, lambda c: float(c[0])) == want
+    assert fiber_size(spec) == len(enum) == 749
+    assert "elements" not in vars(enum)
 
 
 def rational_exact_p(spec, u):
