@@ -6,8 +6,9 @@ cells.  At each cell the value range is clipped from above by every
 constraint row covering the cell (value <= residual / coefficient) and
 from below by how much the remaining cells can still contribute to
 each residual.  The search steps a block of partial tables one cell at
-a time in numpy; a block whose children would pass ``_BLOCK_ROWS``
-rows runs as two halves in order, so memory stays bounded.
+a time in numpy.  A block whose children would pass ``_BLOCK_ROWS``
+rows runs as two halves in order, and a single partial table as runs
+of ``_BLOCK_ROWS`` values, so memory stays bounded.
 
 Exceeding the element cap marks the enumeration incomplete instead of
 aborting, keeping the first ``cap`` elements in that order; operations
@@ -57,8 +58,7 @@ DEFAULT_CAP = 10_000_000
 # enumerating samplers, move-graph components and the sampler diagnosis
 FULL_FIBER_CAP = 1_000_000
 
-# rows of a block past which its children are split (8,192 raised the
-# peak RSS of an exact-n3f test; 2,048 did not)
+# rows of a block past which its children are split (8,192 raised exact-n3f peak RSS)
 _BLOCK_ROWS = 2048
 
 # relative tie tolerance of the hit rule, as in R's fisher.test
@@ -103,14 +103,13 @@ class FiberEnumeration:
 
 
 def fiber_blocks(spec: FiberSpec) -> Iterator[np.ndarray]:
-    """Fiber elements as (k, d) blocks of rows, in lexicographic order
-    of their flat cells: the one search every enumeration runs.  The
-    search works in int64; a block has the smallest signed integer type
+    """Fiber elements as (k, d) blocks of rows, in lexicographic order of
+    their flat cells: the one search every enumeration runs, in int64 (in
+    Python ints past it).  A block has the smallest signed integer type
     that holds every margin, so every cell (int8 up to 127)."""
-    if max(spec.margins, default=0) * spec.d >= 1 << 63:  # bounds past int64
-        raise ValueError("margins too large to enumerate")
-    A = spec.matrix.entries
-    b = np.asarray(spec.margins, dtype=np.int64)
+    dtype = np.int64 if max(spec.margins, default=0) * spec.d < 1 << 63 else object
+    A = spec.matrix.entries.astype(dtype)
+    b = np.asarray(spec.margins, dtype=dtype)
     order = [j for j in range(spec.d) if j not in spec.structural_zeros]
     rows = [np.asarray(spec.matrix.col_support[j]) for j in order]
     coef = [A[r, j] for r, j in zip(rows, order)]
@@ -122,30 +121,33 @@ def fiber_blocks(spec: FiberSpec) -> Iterator[np.ndarray]:
     most = A[:, order] * root_cap
     rest = most[:, ::-1].cumsum(axis=1)[:, ::-1] - most
 
-    # depth, values of the cells order[:depth], residual margins: one
-    # row per partial table, the blocks in order, the first on top
-    stack = [(0, np.zeros((1, 0), np.int64), b[None, :])]
+    # depth, cells order[:depth], residuals and least value of cell
+    # order[depth], one row per partial table; the first block on top
+    stack = [(0, np.zeros((1, 0), dtype), b[None, :], 0)]
     while stack:
-        t, vals, res = stack.pop()
+        t, vals, res, least = stack.pop()
         while t < len(order) and len(vals):
             r, a = rows[t], coef[t]
             sub = res[:, r]
             hi = np.minimum((sub // a).min(axis=1), root_cap[t])
-            lo = np.maximum((-((rest[r, t] - sub) // a)).max(axis=1), 0)  # ceil division
+            lo = np.maximum((-((rest[r, t] - sub) // a)).max(axis=1), least)  # ceil division
             count = np.maximum(hi - lo + 1, 0)
-            if count.sum() > _BLOCK_ROWS and len(vals) > 1:
-                half = len(vals) // 2
-                stack += [(t, vals[half:], res[half:]), (t, vals[:half], res[:half])]
-                break
+            if count.sum() > _BLOCK_ROWS:
+                if len(vals) > 1:
+                    half = len(vals) // 2
+                    stack += [(t, vals[half:], res[half:], 0), (t, vals[:half], res[:half], 0)]
+                    break
+                stack.append((t, vals, res, lo[0] + _BLOCK_ROWS))  # one row: the rest later
+                count[0] = _BLOCK_ROWS
             # each row's children, its values ascending, in row order
-            parent = np.repeat(np.arange(len(vals)), count)
+            parent = np.repeat(np.arange(len(vals)), count.astype(np.intp))
             v = lo[parent] + np.arange(len(parent)) - (np.cumsum(count) - count)[parent]
             vals = np.column_stack((vals[parent], v))
             res = res[parent]
             res[:, r] -= v[:, None] * a
-            t += 1
+            t, least = t + 1, 0
         else:
-            done = vals[~res.any(axis=1)]
+            done = vals[(res == 0).all(axis=1)]
             if len(done):
                 block = np.zeros((len(done), spec.d), np.min_scalar_type(-1 - int(b.max())))
                 block[:, order] = done
@@ -161,8 +163,7 @@ def _rows(cells: np.ndarray) -> Iterator[tuple[int, ...]]:
 
 def iter_fiber(spec: FiberSpec) -> Iterator[Table]:
     """Yield fiber elements in lexicographic order of their flat cells."""
-    for block in fiber_blocks(spec):
-        yield from (Table._trusted(c, spec.shape) for c in _rows(block))
+    return (Table._trusted(c, spec.shape) for block in fiber_blocks(spec) for c in _rows(block))
 
 
 def _check_cap(cap: int) -> None:

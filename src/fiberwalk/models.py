@@ -90,8 +90,7 @@ class Table:
     def _trusted(cls, cells: tuple[int, ...], shape: tuple[int, ...]) -> "Table":
         """Unchecked: for int tuples known to fit ``shape``, at a tenth of the cost."""
         t = object.__new__(cls)
-        object.__setattr__(t, "cells", cells)
-        object.__setattr__(t, "shape", shape)
+        vars(t).update(cells=cells, shape=shape)
         return t
 
     @property

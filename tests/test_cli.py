@@ -606,6 +606,21 @@ def test_enumerate_listing_peak_memory_is_flat(monkeypatch):
     assert large < 1.5 * small
 
 
+def test_test_and_enumerate_run_on_margins_past_int64(tmp_path, capsys):
+    """Bounds past int64 run the search on Python ints: the test reports
+    exact p as unavailable past the cap and the listing stops at it."""
+    path = tmp_path / "huge.txt"
+    path.write_text("2 2\n" + " ".join([str(2**61)] * 4) + "\n")
+    assert run_cli("test", "--table", str(path), "--steps", "200", "--seed", "3") == 0
+    assert "exact p: unavailable (fiber exceeds 100000 elements)" in capsys.readouterr().out
+    m = str(2**62)
+    assert run_cli("enumerate", "--shape", "2", "2", "--margins", m, m, m, m, "--cap", "2") == 0
+    assert capsys.readouterr().out == (
+        f"2 2\n0 {m} {m} 0\n\n2 2\n1 {2**62 - 1} {2**62 - 1} 1\n\n"
+        "count: 2 (incomplete: cap reached)\n"
+    )
+
+
 def test_python_m_fiberwalk(readme_table):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -13,6 +13,7 @@ import hashlib
 import io
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -113,10 +114,32 @@ def test_negative_cap_is_refused():
         fiber_size(spec, cap=-1)
 
 
-def test_margins_past_the_int64_search_are_refused():
+@pytest.mark.parametrize("m", [10**7, 2**62, 10**30])
+def test_a_capped_search_of_a_huge_fiber_stops_early(m):
+    """One partial table with more children than a block holds expands
+    them a block of values at a time, so a cap stops the search after
+    the first block, in little memory; bounds past int64 run on Python
+    ints.  Each 2x2 fiber with all margins m is [[a, m-a], [m-a, a]]."""
+    spec = FiberSpec(Independence((2, 2)).matrix, (m,) * 4, (), (2, 2))
+    tracemalloc.start()
+    try:
+        enum = enumerate_fiber(spec, cap=5)
+        with pytest.raises(FiberTooLarge):
+            fiber_size(spec, cap=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not enum.complete
+    assert enum.cells.tolist() == [[a, m - a, m - a, a] for a in range(5)]
+    assert peak < 4 << 20
+
+
+def test_a_fiber_past_int64_is_enumerated_whole():
     spec = FiberSpec(Independence((2, 2)).matrix, (2**62, 0, 2**62, 0), (), (2, 2))
-    with pytest.raises(ValueError, match="margins too large to enumerate"):
-        enumerate_fiber(spec)
+    enum = enumerate_fiber(spec)
+    assert enum.complete
+    assert [u.cells for u in enum] == [(2**62, 0, 0, 0)]
+    assert fiber_size(spec) == 1
 
 
 def test_log_rho_matches_lgamma():
