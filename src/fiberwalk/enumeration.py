@@ -224,6 +224,12 @@ def rho_weights(rows: np.ndarray) -> list[float]:
     return list(map(math.exp, (logw - logw.max()).tolist()))
 
 
+def normalized_exp(logw: np.ndarray) -> np.ndarray:
+    """The law exp(logw - max) / sum of log-weights; empty for none."""
+    w = np.exp(logw - logw.max(initial=-np.inf))
+    return w / w.sum()
+
+
 def hit_cut(observed: float) -> float:
     """The cut of the hit rule: a table is a hit when its statistic is
     at least ``observed - TIE_TOLERANCE * |observed|``, so tables tied

@@ -24,6 +24,7 @@ import math
 import os
 import re
 import shlex
+import string
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ import numpy as np
 
 from .dpll import projected_models
 from .encode import CNFEncoding
-from .enumeration import FULL_FIBER_CAP, FiberTooLarge, enumerate_fiber
+from .enumeration import FULL_FIBER_CAP, FiberTooLarge, enumerate_fiber, normalized_exp
 from .models import FiberSpec, Table
 
 __all__ = [
@@ -116,8 +117,10 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind == "external" and not self.command_template:
-            raise ValueError("external sampler needs a command_template")
+        if self.kind == "external":
+            if not self.command_template:
+                raise ValueError("external sampler needs a command_template")
+            _placeholders(self.command_template)
         if self.timeout is not None and not self.timeout > 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout:g}")
         if not math.isfinite(self.bias_strength):
@@ -137,6 +140,25 @@ def build_sampler(config: SamplerConfig) -> "FiberSampler":
     if config.kind == "internal-biased":
         return InternalBiasedSampler(strength=config.bias_strength)
     return InternalUniformSampler()
+
+
+def _placeholders(command: str) -> set[str]:
+    """The placeholders of a command template, refusing any but {cnf},
+    {count} and {seed}, or a template shlex or str.format cannot read,
+    when the sampler is configured rather than at its first call."""
+    def fields(text: str) -> list[str]:  # a format spec may hold placeholders too
+        return [n for _, name, spec, _ in string.Formatter().parse(text) if name is not None
+                for n in (name, *fields(spec))]
+
+    try:
+        names = {n for arg in shlex.split(command) for n in fields(arg)}
+        bad = ", ".join(f"placeholder {{{n}}}" for n in sorted(names - {"cnf", "count", "seed"}))
+    except ValueError as exc:  # an unclosed quote, or a single { or }
+        bad = str(exc)
+    if bad:
+        raise ValueError(f"sampler command {command!r}: {bad}; only {{cnf}}, {{count}} "
+                         "and {seed} are filled in, and literal braces are written {{ and }}")
+    return names
 
 
 _PIECE = re.compile(r"[^\n]+")
@@ -237,13 +259,14 @@ class ExternalSampler:
     solutions: int = field(default=0, init=False)
     invalid: int = field(default=0, init=False)
 
+    def __post_init__(self) -> None:
+        _placeholders(self.command)
+
     def sample(self, encoding: CNFEncoding, count: int, seed: int) -> list[Table]:
         if count <= 0:
             return []
-        env = None
-        if "{seed}" not in self.command:
-            env = dict(os.environ)
-            env[SEED_ENV_VAR] = str(seed)
+        env = (None if "seed" in _placeholders(self.command)
+               else {**os.environ, SEED_ENV_VAR: str(seed)})
         fd, path = tempfile.mkstemp(suffix=".cnf", prefix="fiber")
         try:
             with os.fdopen(fd, "w") as f:
@@ -347,10 +370,7 @@ class InternalBiasedSampler(_EnumeratingSampler):
         first = next((j for j in range(spec.d) if j not in zeros), None)
         if first is None:
             raise ValueError("every cell is a structural zero")
-        logw = self.strength * cells[:, first].astype(float)
-        logw -= logw.max() if len(logw) else 0.0
-        w = np.exp(logw)
-        return w / w.sum()
+        return normalized_exp(self.strength * cells[:, first].astype(float))
 
 
 def enumerate_cnf_tables(encoding: CNFEncoding, cap: int = 10_000_000) -> list[Table]:

@@ -46,9 +46,10 @@ at a time; only move-steps count toward N, and the k initial draws are
 the scheme's k SAT-steps).  ParallelStarts never redraws its starts,
 so its sub-walks are weighted by the sampler's law, not by rho.  The
 schedule alone fixes each step's kind, so the record's kinds and step
-counts are derived from it, not counted.  Steps run in one loop per
-sampler batch of Alternating(n >= 2), then the tail; all N of
-MovesOnly; one run per pick of ParallelStarts.
+counts are derived from it, not counted.  Every schedule with SAT steps
+after the start runs one loop per sampler batch, whose draws feed the
+SAT step it takes (see above), then the tail; MovesOnly runs all N
+steps in one loop, ParallelStarts one run per pick.
 
 The walk draws from streams (iterators).  Sampler batches are each
 seeded from the scheduler stream ``make_rng(seed, 0)``, which also
@@ -70,7 +71,7 @@ import numpy as np
 
 from .encode import CNFEncoding, cell_value_bound, encode_fiber
 from .enumeration import (
-    FULL_FIBER_CAP, enumerate_fiber, hit_cut, log_rho_rows, rho_weights,
+    FULL_FIBER_CAP, enumerate_fiber, hit_cut, log_rho_rows, normalized_exp, rho_weights,
 )
 from .models import FiberSpec, Table
 from .moves import MoveSet
@@ -254,9 +255,11 @@ class _Pool:
         self.cells: list[tuple[int, ...]] = []
         self.logw = self.probs = np.empty(0)
 
-    def add(self, batch: list[Table]) -> None:
+    def add(self, batch: list[Table], rng: np.random.Generator) -> memoryview:
         """Add the batch's tables that D lacks, drop the oldest past the
-        cap, and renormalize rho on D."""
+        cap, renormalize rho on D, and draw the batch's picks, one pool
+        index per table, from rho on the new D; the memoryview yields
+        them as ints without a list of them."""
         index, cells, new = self.index, self.cells, []
         for t in batch:
             c = t.cells
@@ -264,34 +267,16 @@ class _Pool:
                 index[c] = None
                 cells.append(c)
                 new.append(c)
-        if not new:
-            return
-        self.logw = np.concatenate((self.logw, log_rho_rows(np.array(new))))
-        drop = len(cells) - _POOL_CAP
-        if drop > 0:
-            for c in cells[:drop]:
-                del index[c]
-            del cells[:drop]
-            self.logw = self.logw[drop:]
-        w = self.logw - self.logw.max()
-        np.exp(w, out=w)
-        w /= w.sum()
-        self.probs = w
-
-    def picks(self, rng: np.random.Generator, size: int) -> memoryview:
-        """``size`` pool indices drawn from rho on D; the memoryview
-        yields them as ints without a list of them."""
-        return memoryview(rng.choice(len(self.cells), size=size, p=self.probs))
-
-
-def _pool_picks(batches: Iterator[list[Table]], pool: _Pool,
-                sched_rng) -> Iterator[memoryview]:
-    """The pooled SAT steps' picks, one array per batch: each batch
-    joins D as it arrives and gives its SAT steps their picks from rho
-    on the new D."""
-    for batch in batches:
-        pool.add(batch)
-        yield pool.picks(sched_rng, len(batch))
+        if new:
+            self.logw = np.concatenate((self.logw, log_rho_rows(np.array(new))))
+            drop = len(cells) - _POOL_CAP
+            if drop > 0:
+                for c in cells[:drop]:
+                    del index[c]
+                del cells[:drop]
+                self.logw = self.logw[drop:]
+            self.probs = normalized_exp(self.logw)
+        return memoryview(rng.choice(len(cells), size=len(batch), p=self.probs))
 
 
 def _moves(rng: np.random.Generator, signed: list) -> Iterator[tuple]:
@@ -311,68 +296,81 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
 
 class _Walk:
     """One sub-walk: its cells as a mutable list and a tuple, hit flag,
-    log-weight (kept by the independence step, the only step that reads
-    it, and which runs only in schedules without moves), the run's
-    log-factorial table ``lf``, and move and uniform streams drawn from
-    the sub-walk's own generator."""
+    the run's log-factorial table ``lf``, and move and uniform streams
+    drawn from the sub-walk's own generator."""
 
-    __slots__ = ("cur", "cur_t", "hit", "logw", "lf", "moves", "unif")
+    __slots__ = ("cur", "cur_t", "hit", "lf", "moves", "unif")
 
     def __init__(self, start: Table, rng, signed: list | None, lf: list, rec: _Recorder):
         self.cur = list(start.cells)
         self.cur_t = start.cells
         self.hit = rec.hit(start.cells)
-        self.logw = -sum(map(lf.__getitem__, start.cells))
         self.lf = lf
         self.moves = _moves(rng, signed)
         self.unif = _uniforms(rng)
 
-    def steps(self, count: int, rec: _Recorder, period: int = 0, picks: Sequence[int] = (),
+    def steps(self, count: int, rec: _Recorder, period: int = 0, draws: Sequence = (),
               pool: _Pool | None = None) -> None:
         """Advance by ``count`` steps in one frame: move proposals, and
-        with a period, a pooled SAT step at every period-th step, the
-        j-th of them on pool table ``picks[j]``.  The pooled step moves
-        to its pick when the current table is in D and stays otherwise."""
+        with a period, a SAT step at every period-th step on the next of
+        ``draws``.  With a pool, a draw is a pool index, moved to when
+        the current table is in D; without one, a sampler table accepted
+        with r(u, v), at period 1 only, so no move step comes between."""
         cur, cur_t, hit, lf = self.cur, self.cur_t, self.hit, self.lf
         moves, unif, exp = self.moves, self.unif, math.exp
         p, flags, counts = rec.p, rec.flags, rec.counts
         i, end = rec.i, rec.i + count
         run = period - 1 if period else count  # move steps before each SAT step
+        draws = iter(draws)
         if pool is not None:
-            index, tables, picks = pool.index, pool.cells, iter(picks)
+            index, tables = pool.index, pool.cells
+        elif period:
+            logw = -sum(map(lf.__getitem__, cur_t))  # log rho(u), up to the constant
         while True:
             stop = i + run
             if stop > end:
                 stop = end
-            for i, pairs in zip(range(i, stop), moves):
-                s = 0.0
-                for j, dl in pairs:
-                    c = cur[j]
-                    nv = c + dl
-                    if nv < 0:
-                        break  # off the orthant: a self-loop, no uniform drawn
-                    s += lf[c] - lf[nv]
-                else:
-                    # s >= 0 first: math.exp overflows above 709
-                    u = next(unif)
-                    if s >= 0 or u < exp(s):
-                        for j, dl in pairs:
-                            cur[j] += dl
-                        cur_t = tuple(cur)
-                        hit = rec.hit(cur_t)
-                        flags[i] = True
-                p[i] = hit
-                if counts is not None:
-                    counts[cur_t] = counts.get(cur_t, 0) + 1
+            if run:
+                for i, pairs in zip(range(i, stop), moves):
+                    s = 0.0
+                    for j, dl in pairs:
+                        c = cur[j]
+                        nv = c + dl
+                        if nv < 0:
+                            break  # off the orthant: a self-loop, no uniform drawn
+                        s += lf[c] - lf[nv]
+                    else:
+                        # s >= 0 first: math.exp overflows above 709
+                        u = next(unif)
+                        if s >= 0 or u < exp(s):
+                            for j, dl in pairs:
+                                cur[j] += dl
+                            cur_t = tuple(cur)
+                            hit = rec.hit(cur_t)
+                            flags[i] = True
+                    p[i] = hit
+                    if counts is not None:
+                        counts[cur_t] = counts.get(cur_t, 0) + 1
             if stop == end:
                 break
-            # the pooled SAT step at index stop
-            k = next(picks)
-            if cur_t in index:
-                cur_t = tables[k]
-                cur = list(cur_t)
-                hit = rec.hit(cur_t)
-                flags[stop] = True
+            # the SAT step at index stop
+            if pool is not None:
+                k = next(draws)
+                if cur_t in index:
+                    cur_t = tables[k]
+                    cur = list(cur_t)
+                    hit = rec.hit(cur_t)
+                    flags[stop] = True
+            else:
+                v = next(draws).cells
+                lw = -sum(map(lf.__getitem__, v))
+                s = lw - logw  # log rho(v) - log rho(u)
+                u = next(unif)
+                if s >= 0 or u < exp(s):
+                    cur_t, logw = v, lw
+                    cur = list(v)
+                    hit = rec.hit(v)
+                    flags[stop] = True
             p[stop] = hit
             if counts is not None:
                 counts[cur_t] = counts.get(cur_t, 0) + 1
@@ -380,27 +378,10 @@ class _Walk:
         rec.i = end
         self.cur, self.cur_t, self.hit = cur, cur_t, hit
 
-    def sat_step(self, proposal: Table, rec: _Recorder) -> None:
-        """The independence step: accept the draw on rho(v) / rho(u)."""
-        p_cells = proposal.cells
-        lw = -sum(map(self.lf.__getitem__, p_cells))
-        s = lw - self.logw  # log rho(v) - log rho(u)
-        u = next(self.unif)
-        i = rec.i
-        if s >= 0 or u < math.exp(s):
-            self.cur, self.cur_t, self.logw = list(p_cells), p_cells, lw
-            self.hit = rec.hit(p_cells)
-            rec.flags[i] = True
-        rec.p[i] = self.hit
-        if rec.counts is not None:
-            rec.counts[self.cur_t] = rec.counts.get(self.cur_t, 0) + 1
-        rec.i = i + 1
 
-
-def _check_moves(moves: MoveSet | None, spec: FiberSpec) -> list:
-    """The move set's signed proposals, once it is known to fit the fiber."""
-    if moves is None or not len(moves):
-        raise ValueError("this schedule needs a non-empty move set")
+def _signed_moves(moves: MoveSet, spec: FiberSpec) -> list:
+    """The move set's proposals as (cell, delta) pairs, each move
+    negated and as given, once the set is known to fit the fiber."""
     if moves.d != spec.d:
         raise ValueError(f"moves are on {moves.d} cells, fiber has {spec.d}")
     zeros = spec.zero_set()
@@ -435,7 +416,9 @@ def run_walk(
         raise ValueError("observed table is not in the fiber")
     threshold = float(stat(u_obs.cells))
 
-    signed = None if isinstance(schedule, SatOnly) else _check_moves(moves, spec)
+    if not (isinstance(schedule, SatOnly) or moves):  # None or empty
+        raise ValueError("this schedule needs a non-empty move set")
+    signed = None if isinstance(schedule, SatOnly) else _signed_moves(moves, spec)
     # a support cell may pass the bound before a later one goes negative
     top = cell_value_bound(spec) + max((dl for mv in signed or () for _, dl in mv), default=0)
     # tabulate only when that costs no more than the walk's own steps
@@ -469,25 +452,22 @@ def run_walk(
         return _finish(rec, spec, u_obs, [w.cur_t for w in walks], 0, k, None)
 
     walk = _Walk(u_obs, make_rng(seed, 1), signed, lf, rec)
-    pool = None
+    # move steps between SAT steps take the pooled step, none the independence step
+    pool = _Pool() if period > 1 else None
     reason = None
     try:
-        if period > 1:  # move steps between SAT steps: the pooled step
-            pool = _Pool()
-            feed = _pool_picks(batches, pool, sched_rng)
-            left = N // period
-            while left:
-                try:
-                    picks = next(feed)[:left]
-                except SamplerError:
-                    walk.steps(period - 1, rec)  # the moves before the SAT step that failed
-                    raise
-                walk.steps(len(picks) * period, rec, period, picks, pool)
-                left -= len(picks)
-        elif period:  # no move steps: the independence step
-            feed = chain.from_iterable(batches)
-            for _ in range(N):
-                walk.sat_step(next(feed), rec)
+        left = N // period if period else 0
+        while left:  # one batch of SAT steps, and the move steps before each
+            try:
+                draws = next(batches)
+            except SamplerError:
+                walk.steps(period - 1, rec)  # the moves before the SAT step that failed
+                raise
+            if pool is not None:
+                draws = pool.add(draws, sched_rng)
+            draws = draws[:left]
+            walk.steps(len(draws) * period, rec, period, draws, pool)
+            left -= len(draws)
         walk.steps(N % period if period else N, rec)
     except SamplerError as exc:
         reason = str(exc)
@@ -531,7 +511,11 @@ def _finish(rec, spec, u_obs, final_cells, period, initial_draws, reason,
 
 def connected_components_under_moves(spec: FiberSpec, moves: MoveSet) -> list[list[Table]]:
     """Partition the enumerated fiber into components of the move
-    graph (u ~ v iff v = u +/- m for some move m)."""
+    graph (u ~ v iff v = u +/- m for some move m).  The moves must fit
+    the fiber as ``run_walk`` requires; with none, each element is its
+    own component."""
+    # a union is symmetric, so each move as given finds every edge
+    signed = _signed_moves(moves, spec)[1::2]
     fiber = list(enumerate_fiber(spec, cap=FULL_FIBER_CAP).require_complete())
     index = {u.cells: i for i, u in enumerate(fiber)}
     parent = list(range(len(fiber)))
@@ -542,26 +526,14 @@ def connected_components_under_moves(spec: FiberSpec, moves: MoveSet) -> list[li
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
     for i, u in enumerate(fiber):
-        for mv in moves:
+        for pairs in signed:
             cells = list(u.cells)
-            ok = True
-            for j, dl in zip(mv.support, mv.deltas):
-                nv = cells[j] + dl
-                if nv < 0:
-                    ok = False
-                    break
-                cells[j] = nv
-            if not ok:
-                continue
-            target = index.get(tuple(cells))
+            for j, dl in pairs:
+                cells[j] += dl
+            target = index.get(tuple(cells))  # None off the orthant too
             if target is not None:
-                union(i, target)
+                parent[find(target)] = find(i)
     groups: dict[int, list[Table]] = {}
     for i, u in enumerate(fiber):
         groups.setdefault(find(i), []).append(u)

@@ -209,6 +209,14 @@ def test_parse_config_biased_sampler_without_a_strength_is_biased(tmp_path):
     assert args.bias_strength == InternalBiasedSampler().strength == sampler.bias_strength
 
 
+def test_parse_config_refuses_a_command_with_a_stray_placeholder(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text("[experiment]\nmodel = independence\nshape = 2, 2\nn = 4\n\n"
+                    "[sampler]\nkind = external\ncommand = awk '{print}' {cnf}\n")
+    with pytest.raises(ValueError, match=r"placeholder \{print\}"):
+        parse_config(path)
+
+
 def test_parse_config_requires_experiment_core(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[experiment]\nmodel = independence\n")

@@ -239,6 +239,17 @@ def test_bench_seed_override_changes_results(tmp_path, capsys):
     assert (a / "summary.csv").read_text() != (b / "summary.csv").read_text()
 
 
+def test_a_sampler_command_with_a_stray_placeholder_fails_before_the_run(readme_table,
+                                                                       capsys):
+    code = run_cli("test", "--table", readme_table, "--sampler", "external",
+                   "--sampler-command", "awk '{print}' {cnf}")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "placeholder {print}" in captured.err
+    assert "literal braces are written {{ and }}" in captured.err
+
+
 def test_diagnose_reports_uniformity(capsys):
     code = run_cli(
         "diagnose",

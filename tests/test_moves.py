@@ -29,6 +29,7 @@ from fiberwalk.models import (
 from fiberwalk.moves import (
     BasisFileError,
     DegenerateZeroPattern,
+    MoveSet,
     basic_moves_n3f,
     basic_moves_two_way,
     build_moves,
@@ -242,6 +243,32 @@ def test_components_split_on_block_instance():
     assert len(moves.moves) == 1
     comps = connected_components_under_moves(spec, moves)
     assert sorted(len(c) for c in comps) == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "model, moves, message",
+    [
+        (Independence((3, 3)), basic_moves_two_way((2, 2)), "moves are on 4 cells, fiber has 9"),
+        (Independence((3, 3)), basic_moves_two_way((4, 4)), "moves are on 16 cells, fiber has 9"),
+        (QuasiIndependence((3, 3), ((0, 2),)), basic_moves_two_way((3, 3)),
+         "touches a structural zero cell"),
+    ],
+    ids=["fewer-cells", "more-cells", "structural-zero"],
+)
+def test_components_refuse_moves_that_do_not_fit(model, moves, message):
+    """A move set that does not fit the fiber is refused as the walk
+    refuses it, not read as singleton components or an index error."""
+    u = Table((1, 1, 0, 1, 1, 1, 1, 1, 1), (3, 3))
+    spec = fiber_spec_from_observation(model, u)
+    with pytest.raises(ValueError, match=message):
+        connected_components_under_moves(spec, moves)
+
+
+def test_components_without_moves_are_singletons():
+    u = Table((1, 1, 1, 1, 1, 1, 1, 1, 1), (3, 3))
+    spec = fiber_spec_from_observation(Independence((3, 3)), u)
+    comps = connected_components_under_moves(spec, MoveSet(moves=(), d=9))
+    assert len(comps) == 55 and all(len(c) == 1 for c in comps)
 
 
 def test_package_import_skips_networkx():

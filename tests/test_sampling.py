@@ -427,3 +427,42 @@ def test_build_sampler_dispatch():
         SamplerConfig(kind="external", command_template="x {cnf} {count} {seed}")
     )
     assert isinstance(ext, ExternalSampler)
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("awk '{print}' {cnf}", "placeholder {print}"),
+        ("sampler {} {cnf}", "placeholder {}"),
+        ("sampler {cnf.name}", "placeholder {cnf.name}"),
+        ("sampler {seed:{width}}", "placeholder {width}"),
+        ("sampler {cnf", "sampler command 'sampler {cnf'"),
+        ("sampler '{cnf}", "No closing quotation"),
+    ],
+    ids=["word", "bare", "attribute", "nested", "single-brace", "unclosed-quote"],
+)
+@pytest.mark.parametrize(
+    "build",
+    [ExternalSampler, lambda cmd: SamplerConfig(kind="external", command_template=cmd)],
+    ids=["external-sampler", "sampler-config"],
+)
+def test_a_command_placeholder_other_than_cnf_count_seed_is_refused_when_built(
+        build, command, message):
+    """str.format would fail only at the first call, with an untyped
+    message such as 'print'."""
+    with pytest.raises(ValueError) as err:
+        build(command)
+    assert message in str(err.value)
+    assert "literal braces are written {{ and }}" in str(err.value)
+
+
+def test_doubled_braces_reach_the_command_as_literal_braces(tmp_path):
+    """``{{seed}}`` is the literal text {seed}, not a placeholder, so the
+    seed still comes through the environment."""
+    enc = encode_fiber(SPEC)
+    script = tmp_path / "braces.sh"
+    script.write_text(f'#!/bin/sh\n[ "$1" = "{{seed}}" ] && [ "$FIBERWALK_SEED" = 7 ] '
+                      f'&& echo "{lits_line(enc, FIBER[0])}"\n')
+    script.chmod(0o755)
+    out = ExternalSampler(f"{script} {{{{seed}}}} {{cnf}}").sample(enc, 1, seed=7)
+    assert out[0].cells == FIBER[0].cells
