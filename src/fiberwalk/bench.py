@@ -29,7 +29,7 @@ from .enumeration import enumerate_fiber, exact_p_from_enumeration
 from .mle import ChiSquare, FitResult, fit_loglinear
 from .models import (
     FiberSpec,
-    Independence,
+    Hierarchical,
     NoThreeWay,
     QuasiIndependence,
     Table,
@@ -44,11 +44,12 @@ from .moves import (
     repair_zero_pattern,
 )
 from .sampling import SamplerConfig, build_sampler, make_rng
-from .walk import MovesOnly, RunRecord, SatOnly, Schedule, make_schedule, run_walk
+from .walk import MovesOnly, RunRecord, Schedule, make_schedule, run_walk, takes_move_steps
 
 __all__ = [
     "ExperimentConfig",
     "BenchRun",
+    "build_model",
     "ConditionalTest",
     "conditional_test",
     "generate_initial_two_way",
@@ -66,7 +67,23 @@ DEFAULT_LAMBDAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 MODELS = ("independence", "quasi", "n3f")
 
+EXACT_CAP = 100_000  # fiber elements a test enumerates for its exact p-value
+
 QUASI_TABLES = 50  # tables generate_initial_quasi draws before it gives up
+
+
+def build_model(name: str, shape: Sequence[int], zeros: Sequence = ()) -> Hierarchical:
+    """The model ``name``, one of ``MODELS``: independence and quasi are
+    quasi-independence, which fixes the 1-margins of a two-way ``shape``
+    with ``zeros`` (multi-indices) as structural zeros; n3f fixes the
+    2-margins of a cubic ``shape`` and takes no zeros."""
+    if name not in MODELS:
+        raise ValueError(f"unknown model {name!r}; expected one of {MODELS}")
+    if name != "n3f":
+        return QuasiIndependence(shape, zeros)  # refuses a shape that is not two-way
+    if zeros or len(shape) != 3 or len(set(shape)) != 1:
+        raise ValueError("model 'n3f' needs a cubic shape (d, d, d) and no structural zeros")
+    return NoThreeWay(shape[0])
 
 
 def round_largest_remainder(weights: Sequence[float], total: int) -> list[int]:
@@ -201,17 +218,10 @@ class ExperimentConfig:
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
     seed: int = 0
     tol: float = 0.005
-    exact_cap: int = 100_000
+    exact_cap: int = EXACT_CAP
 
     def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if self.model in ("independence", "quasi") and len(self.shape) != 2:
-            raise ValueError(f"model {self.model!r} needs a two-way shape")
-        if self.model == "n3f" and (
-            len(self.shape) != 3 or len(set(self.shape)) != 1
-        ):
-            raise ValueError("model 'n3f' needs a cubic shape (d, d, d)")
+        build_model(self.model, self.shape)
         if self.runs < 1 or self.steps < 1:
             raise ValueError("runs and steps must be >= 1")
         if not self.lambdas or not all(0.0 <= x <= 1.0 for x in self.lambdas):
@@ -232,21 +242,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class BenchRun:
-    """One run's outcome; ``error`` is set (and the rest mostly empty)
-    when a stage failed and the run was skipped.  ``converged``,
-    ``discrepancy`` and ``iterations`` are the MLE fit's, None when the
-    run failed before the fit."""
+    """One run's outcome: the conditional test it ran, None when a stage
+    before the test failed, and the step at which its p-sequence
+    settled.  ``error`` is set when the run failed; a run whose walk
+    aborted keeps its test."""
 
     run_id: int
-    exact_p: float | None
-    p_sequence: np.ndarray | None
-    convergence_step: int | None
-    sat_steps: int
-    move_steps: int
-    final_p: float | None
-    converged: bool | None = None
-    discrepancy: float | None = None
-    iterations: int | None = None
+    test: ConditionalTest | None
+    convergence_step: int | None = None
     error: str | None = None
 
     @property
@@ -307,42 +310,32 @@ def conditional_test(
     stat = ChiSquare(fit.pi, u_obs.n, spec.forced_zeros())
     enum = enumerate_fiber(spec, cap=exact_cap)
     exact = exact_p_from_enumeration(enum, stat(u_obs.cells), stat) if enum.complete else None
-    # a sat-only walk makes no move steps, so it needs no move set
-    moves = None if isinstance(schedule, SatOnly) else build_moves(move_source, spec, move_path)
+    moves = build_moves(move_source, spec, move_path) if takes_move_steps(schedule) else None
     rec = run_walk(spec, u_obs, schedule, moves, build_sampler(sampler), steps, stat, seed)
     return ConditionalTest(fit, exact, rec)
 
 
 def _one_run(
-    config: ExperimentConfig, run_id: int, lam: float | None, gen_seed: int, walk_seed: int
+    config: ExperimentConfig, run_id: int, lam: float, gen_seed: int, walk_seed: int
 ) -> BenchRun:
-    if config.model == "independence":
-        initial = generate_initial_two_way(config.shape, config.n, lam, gen_seed)
-        model = Independence(config.shape)
-    elif config.model == "quasi":
-        initial, zeros = generate_initial_quasi(config.shape, config.n, lam, gen_seed)
-        model = QuasiIndependence(config.shape, [unflatten_index(j, config.shape) for j in zeros])
-    else:
+    zeros = ()
+    if config.model == "n3f":
         initial = generate_initial_n3f(config.shape[0], config.n, config.sampler, gen_seed)
-        model = NoThreeWay(config.shape[0])
-    spec = fiber_spec_from_observation(model, initial)
+    elif config.model == "quasi":
+        initial, flat = generate_initial_quasi(config.shape, config.n, lam, gen_seed)
+        zeros = [unflatten_index(j, config.shape) for j in flat]
+    else:
+        initial = generate_initial_two_way(config.shape, config.n, lam, gen_seed)
+    spec = fiber_spec_from_observation(build_model(config.model, config.shape, zeros), initial)
     test = conditional_test(
         spec, initial, config.schedule, config.move_source, config.move_path,
         config.sampler, config.steps, walk_seed, config.exact_cap,
     )
-    exact, rec, fit = test.exact_p, test.rec, test.fit
-    fit_fields = (fit.converged, fit.discrepancy, fit.iterations)
+    rec = test.rec
     if rec.aborted:
-        return BenchRun(
-            run_id, exact, None, None, rec.sat_steps, rec.move_steps, None, *fit_fields,
-            error=f"walk aborted: {rec.abort_reason}",
-        )
-    reference = exact if exact is not None else rec.p_final
-    step = convergence_step(rec.p_sequence, reference, config.tol)
-    return BenchRun(
-        run_id, exact, rec.p_sequence, step, rec.sat_steps, rec.move_steps, rec.p_final,
-        *fit_fields,
-    )
+        return BenchRun(run_id, test, error=f"walk aborted: {rec.abort_reason}")
+    reference = test.exact_p if test.exact_p is not None else rec.p_final
+    return BenchRun(run_id, test, convergence_step(rec.p_sequence, reference, config.tol))
 
 
 def run_evaluation(config: ExperimentConfig) -> list[BenchRun]:
@@ -353,37 +346,23 @@ def run_evaluation(config: ExperimentConfig) -> list[BenchRun]:
     for i in range(config.runs):
         gen_seed = int(master.integers(1 << 62))
         walk_seed = int(master.integers(1 << 62))
-        lam = (
-            None
-            if config.model == "n3f"
-            else config.lambdas[i % len(config.lambdas)]
-        )
+        lam = config.lambdas[i % len(config.lambdas)]  # unused by n3f
         try:
             records.append(_one_run(config, i + 1, lam, gen_seed, walk_seed))
         except Exception as exc:  # record, skip, keep going
-            records.append(
-                BenchRun(
-                    i + 1, None, None, None, 0, 0, None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            records.append(BenchRun(i + 1, None, error=f"{type(exc).__name__}: {exc}"))
     return records
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return "" if x is None else str(x)
 
 
-def _svg_plot(records: list[BenchRun]) -> str:
+def _svg_plot(tests: list[ConditionalTest]) -> str:
     width, height = 720, 420
     left, right, top, bottom = 52, 16, 16, 36
     pw, ph = width - left - right, height - top - bottom
-    runs = [r for r in records if r.ok and r.p_sequence is not None]
-    steps = max((len(r.p_sequence) for r in runs), default=1)
+    steps = max((len(test.rec.p_sequence) for test in tests), default=1)
 
     def x(t: int) -> float:  # 1-based step
         return left + (pw * (t - 1) / max(steps - 1, 1))
@@ -411,8 +390,8 @@ def _svg_plot(records: list[BenchRun]) -> str:
             f'<text x="{left - 6}" y="{yy + 4:.2f}" font-size="11" '
             f'text-anchor="end" font-family="sans-serif">{frac}</text>'
         )
-    for k, rec in enumerate(runs):
-        seq = rec.p_sequence
+    for k, test in enumerate(tests):
+        seq = test.rec.p_sequence
         stride = max(1, len(seq) // 1200)
         pts = [f"{x(t + 1):.2f},{y(float(seq[t])):.2f}" for t in range(0, len(seq), stride)]
         last = f"{x(len(seq)):.2f},{y(float(seq[-1])):.2f}"
@@ -423,12 +402,8 @@ def _svg_plot(records: list[BenchRun]) -> str:
             f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
             f'points="{" ".join(pts)}"/>'
         )
-    seen: set[float] = set()
-    for rec in runs:
-        if rec.exact_p is None or rec.exact_p in seen:
-            continue
-        seen.add(rec.exact_p)
-        yy = y(rec.exact_p)
+    for exact in dict.fromkeys(test.exact_p for test in tests if test.exact_p is not None):
+        yy = y(exact)
         parts.append(
             f'<line x1="{left}" y1="{yy:.2f}" x2="{left + pw}" y2="{yy:.2f}" '
             'stroke="black" stroke-width="1.2" stroke-dasharray="5 4"/>'
@@ -459,20 +434,20 @@ def export_results(records: list[BenchRun], out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    done = [run for run in records if run.ok]
 
     summary = out / "summary.csv"
     with open(summary, "w", newline="\n") as f:
         f.write("run,convergence_step,final_p,exact_p,sat_steps,move_steps\n")
-        for rec in records:
-            if not rec.ok:
-                continue
+        for run in done:
+            rec = run.test.rec
             f.write(
                 ",".join(
                     [
-                        str(rec.run_id),
-                        _fmt(rec.convergence_step),
-                        _fmt(rec.final_p),
-                        _fmt(rec.exact_p),
+                        str(run.run_id),
+                        _fmt(run.convergence_step),
+                        _fmt(rec.p_final),
+                        _fmt(run.test.exact_p),
                         str(rec.sat_steps),
                         str(rec.move_steps),
                     ]
@@ -481,97 +456,73 @@ def export_results(records: list[BenchRun], out_dir) -> list[Path]:
             )
     written.append(summary)
 
-    for rec in records:
-        if not rec.ok or rec.p_sequence is None:
-            continue
-        path = out / f"run_{rec.run_id:03d}.csv"
+    for run in done:
+        path = out / f"run_{run.run_id:03d}.csv"
         with open(path, "w", newline="\n") as f:
             f.write("step,p\n")
-            for t, p in enumerate(rec.p_sequence, start=1):
+            for t, p in enumerate(run.test.rec.p_sequence, start=1):
                 f.write(f"{t},{float(p)!r}\n")
         written.append(path)
 
-    failures = [rec for rec in records if not rec.ok]
+    failures = [run for run in records if not run.ok]
     if failures:
         path = out / "failures.csv"
         with open(path, "w", newline="\n") as f:
             f.write("run,error\n")
-            for rec in failures:
-                err = rec.error.replace('"', "'")
-                f.write(f'{rec.run_id},"{err}"\n')
+            for run in failures:
+                err = run.error.replace('"', "'")
+                f.write(f'{run.run_id},"{err}"\n')
         written.append(path)
 
     plot = out / "plot.svg"
     with open(plot, "w", newline="\n") as f:
-        f.write(_svg_plot(records))
+        f.write(_svg_plot([run.test for run in done]))
     written.append(plot)
     return written
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
-    toks = text.replace(",", " ").split()
-    if not toks:
-        raise ValueError("empty shape")
-    return tuple(int(t) for t in toks)
+def _numbers(kind):
+    """A parser of comma- or space-separated numbers of ``kind``."""
+    return lambda text: tuple(kind(t) for t in text.replace(",", " ").split())
 
 
-def _parse_lambdas(text: str) -> tuple[float, ...]:
-    toks = text.replace(",", " ").split()
-    return tuple(float(t) for t in toks)
+def _or_none(text: str) -> str | None:
+    return text or None
 
 
 def parse_config(path) -> ExperimentConfig:
     """Experiment configuration from an INI file with sections
-    [experiment], [schedule], [sampler], [moves]."""
+    [experiment], [schedule], [sampler], [moves].  A key the file does
+    not set keeps the default of the field it fills; an empty command
+    or path means none.  Values arrive stripped, so names need only
+    lowering."""
     import configparser
 
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ValueError(f"cannot read config file {path}")
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    if "model" not in exp or "shape" not in exp or "n" not in exp:
+
+    def given(section: str, keys: dict) -> dict:
+        # each key the section sets, parsed, under the name of its field
+        s = parser[section] if parser.has_section(section) else {}
+        return {name: parse(s[key]) for key, (name, parse) in keys.items() if key in s}
+
+    exp = given("experiment", {
+        "model": ("model", str.lower), "shape": ("shape", _numbers(int)), "n": ("n", int),
+        "runs": ("runs", int), "steps": ("steps", int), "seed": ("seed", int),
+        "lambdas": ("lambdas", _numbers(float)), "tolerance": ("tol", float),
+        "exact_cap": ("exact_cap", int),
+    })
+    if not {"model", "shape", "n"} <= exp.keys():
         raise ValueError("config needs [experiment] with model, shape and n")
-
-    sched_kind = "moves-only"
-    period, walks = 1, 1
-    if parser.has_section("schedule"):
-        s = parser["schedule"]
-        sched_kind = s.get("kind", sched_kind).strip().lower()
-        period = s.getint("period", fallback=1)
-        walks = s.getint("walks", fallback=1)
-    schedule = make_schedule(sched_kind, period, walks)
-
-    sampler = SamplerConfig()
-    if parser.has_section("sampler"):
-        s = parser["sampler"]
-        kind = s.get("kind", "internal-uniform").strip().lower()
-        timeout = s.getfloat("timeout", fallback=None)
-        sampler = SamplerConfig(
-            kind=kind,
-            command_template=s.get("command", fallback=None) or None,
-            timeout=timeout,
-            bias_strength=s.getfloat("bias_strength", fallback=SamplerConfig.bias_strength),
-        )
-
-    move_source, move_path = "basic", None
-    if parser.has_section("moves"):
-        s = parser["moves"]
-        move_source = s.get("source", "basic").strip().lower()
-        move_path = s.get("path", fallback=None) or None
-
-    return ExperimentConfig(
-        model=exp["model"].strip().lower(),
-        shape=_parse_shape(exp["shape"]),
-        n=int(exp["n"]),
-        runs=int(exp.get("runs", 10)),
-        steps=int(exp.get("steps", 1000)),
-        schedule=schedule,
-        sampler=sampler,
-        move_source=move_source,
-        move_path=move_path,
-        lambdas=_parse_lambdas(exp["lambdas"]) if "lambdas" in exp else DEFAULT_LAMBDAS,
-        seed=int(exp.get("seed", 0)),
-        tol=float(exp.get("tolerance", 0.005)),
-        exact_cap=int(exp.get("exact_cap", 100_000)),
-    )
+    schedule = given("schedule", {
+        "kind": ("kind", str.lower), "period": ("period", int), "walks": ("walks", int),
+    })
+    if "kind" in schedule:  # period and walks, which only the INI format has, default to 1
+        exp["schedule"] = make_schedule(**{"period": 1, "walks": 1, **schedule})
+    sampler = given("sampler", {
+        "kind": ("kind", str.lower), "command": ("command_template", _or_none),
+        "timeout": ("timeout", float), "bias_strength": ("bias_strength", float),
+    })
+    moves = given("moves", {"source": ("move_source", str.lower), "path": ("move_path", _or_none)})
+    return ExperimentConfig(**exp, **moves, sampler=SamplerConfig(**sampler))

@@ -20,14 +20,15 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .bench import conditional_test, export_results, parse_config, run_evaluation
+from .bench import (
+    EXACT_CAP, build_model, conditional_test, export_results, parse_config, run_evaluation,
+)
 from .dpll import projected_models
 from .encode import encode_fiber, parse_dimacs, write_layout
-from .enumeration import FULL_FIBER_CAP, enumerate_fiber, iter_fiber
+from .enumeration import DEFAULT_CAP, FULL_FIBER_CAP, enumerate_fiber, iter_fiber
+from .mle import FitResult
 from .models import (
     FiberSpec,
-    NoThreeWay,
-    QuasiIndependence,
     Table,
     fiber_spec_from_observation,
     read_table,
@@ -72,8 +73,8 @@ def _positive(text: str) -> float:
 _positive.__name__ = "float"  # argparse names it in "invalid float value"
 
 
-def _mle_warning(fit) -> str:
-    """The warning for an unconverged MLE fit, or a bench run's copy of one."""
+def _mle_warning(fit: FitResult) -> str:
+    """The warning for an unconverged MLE fit."""
     return (f"warning: MLE stopped at discrepancy {fit.discrepancy:.3g} "
             f"after {fit.iterations} iterations")
 
@@ -129,7 +130,7 @@ def _add_sampler_args(p: argparse.ArgumentParser) -> None:
     g.add_argument(
         "--sampler",
         choices=KINDS,
-        default="internal-uniform",
+        default=SamplerConfig.kind,
     )
     g.add_argument(
         "--sampler-command",
@@ -149,18 +150,6 @@ def _parse_zeros(tokens, shape) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _make_model(name: str, shape, zeros_multi):
-    if name == "n3f":
-        if zeros_multi:
-            raise ValueError("structural zeros are not supported for the n3f model")
-        if len(shape) != 3 or len(set(shape)) != 1:
-            raise ValueError("the n3f model needs a cubic shape (d, d, d)")
-        return NoThreeWay(shape[0])
-    if len(shape) != 2:
-        raise ValueError("the independence model on the CLI is two-way")
-    return QuasiIndependence(shape, zeros_multi)
-
-
 def _build_spec(args) -> tuple[FiberSpec, Table | None]:
     """Fiber from either an observation file or explicit margins."""
     if args.table:
@@ -173,11 +162,11 @@ def _build_spec(args) -> tuple[FiberSpec, Table | None]:
                 f"--shape {tuple(args.shape)} contradicts table shape {u.shape}"
             )
         zeros_multi = file_zeros + _parse_zeros(args.zeros, u.shape)
-        model = _make_model(args.model, u.shape, zeros_multi)
+        model = build_model(args.model, u.shape, zeros_multi)
         return fiber_spec_from_observation(model, u), u
     if not args.shape or args.margins is None:
         raise ValueError("need either --table or both --shape and --margins")
-    model = _make_model(args.model, args.shape, _parse_zeros(args.zeros, args.shape))
+    model = build_model(args.model, args.shape, _parse_zeros(args.zeros, args.shape))
     spec = FiberSpec(model.matrix, tuple(args.margins), model.structural_zeros, model.shape)
     return spec, None
 
@@ -265,11 +254,11 @@ def cmd_bench(args) -> int:
     paths = export_results(records, args.out)
     ok = sum(1 for r in records if r.ok)
     print(f"runs: {len(records)} ({ok} ok, {len(records) - ok} failed)")
-    for rec in records:
-        if rec.converged is False:
-            print(f"run {rec.run_id}: {_mle_warning(rec)}", file=sys.stderr)
-        if not rec.ok:
-            print(f"run {rec.run_id} failed: {rec.error}", file=sys.stderr)
+    for run in records:
+        if run.test is not None and not run.test.fit.converged:
+            print(f"run {run.run_id}: {_mle_warning(run.test.fit)}", file=sys.stderr)
+        if not run.ok:
+            print(f"run {run.run_id} failed: {run.error}", file=sys.stderr)
     print(f"wrote {len(paths)} files to {args.out}")
     return 0
 
@@ -301,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list/count fiber elements")
     _add_spec_args(p)
     p.add_argument("--cnf", help="count projected models of a DIMACS file instead")
-    p.add_argument("--cap", type=_at_least(0), default=10_000_000)
+    p.add_argument("--cap", type=_at_least(0), default=DEFAULT_CAP)
     p.add_argument("--count-only", action="store_true", help="suppress the listing")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("test", help="conditional goodness-of-fit test")
     _add_spec_args(p, with_margins=False)
     p.add_argument("--steps", type=_at_least(1), default=10_000)
-    p.add_argument("--exact-cap", type=_at_least(0), default=100_000)
+    p.add_argument("--exact-cap", type=_at_least(0), default=EXACT_CAP)
     p.add_argument("--seed", type=int, default=0)
     _add_walk_args(p)
     _add_sampler_args(p)

@@ -34,7 +34,8 @@ import numpy as np
 
 from .dpll import projected_models
 from .encode import CNFEncoding
-from .enumeration import FULL_FIBER_CAP, FiberTooLarge, enumerate_fiber, normalized_exp
+from .enumeration import (DEFAULT_CAP, FULL_FIBER_CAP, FiberTooLarge, enumerate_fiber,
+                          normalized_exp)
 from .models import FiberSpec, Table
 
 __all__ = [
@@ -145,14 +146,21 @@ def build_sampler(config: SamplerConfig) -> "FiberSampler":
 def _placeholders(command: str) -> set[str]:
     """The placeholders of a command template, refusing any but {cnf},
     {count} and {seed}, or a template shlex or str.format cannot read,
-    when the sampler is configured rather than at its first call."""
+    when the sampler is configured rather than at its first call; a
+    format spec its value cannot take, such as {cnf:d}, too."""
     def fields(text: str) -> list[str]:  # a format spec may hold placeholders too
         return [n for _, name, spec, _ in string.Formatter().parse(text) if name is not None
                 for n in (name, *fields(spec))]
 
     try:
-        names = {n for arg in shlex.split(command) for n in fields(arg)}
+        args = shlex.split(command)
+        names = {n for arg in args for n in fields(arg)}
         bad = ", ".join(f"placeholder {{{n}}}" for n in sorted(names - {"cnf", "count", "seed"}))
+        for arg in [] if bad else args:
+            try:  # the largest seed a walk draws, which {seed:c} cannot take
+                arg.format(cnf="fiber.cnf", count=1, seed=(1 << 62) - 1)
+            except (ValueError, OverflowError) as exc:
+                bad = f"argument {arg!r}: {exc}"
     except ValueError as exc:  # an unclosed quote, or a single { or }
         bad = str(exc)
     if bad:
@@ -373,7 +381,7 @@ class InternalBiasedSampler(_EnumeratingSampler):
         return normalized_exp(self.strength * cells[:, first].astype(float))
 
 
-def enumerate_cnf_tables(encoding: CNFEncoding, cap: int = 10_000_000) -> list[Table]:
+def enumerate_cnf_tables(encoding: CNFEncoding, cap: int = DEFAULT_CAP) -> list[Table]:
     """All fiber elements by CNF model enumeration with blocking
     clauses: the solver-side route, matched against direct enumeration
     in the bijection checks.  Raises :class:`FiberTooLarge` past the

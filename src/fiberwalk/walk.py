@@ -85,6 +85,7 @@ __all__ = [
     "Schedule",
     "SCHEDULE_KINDS",
     "make_schedule",
+    "takes_move_steps",
     "RunRecord",
     "run_walk",
     "connected_components_under_moves",
@@ -142,6 +143,11 @@ def make_schedule(kind: str, period: int, walks: int) -> Schedule:
     if kind == "parallel-starts":
         return ParallelStarts(period, walks)
     raise ValueError(f"unknown schedule kind {kind!r}")
+
+
+def takes_move_steps(schedule: Schedule) -> bool:
+    """False for SatOnly and Alternating(1), the same chain, which propose no moves."""
+    return schedule not in (SatOnly(), Alternating(1))
 
 
 @dataclass
@@ -416,9 +422,10 @@ def run_walk(
         raise ValueError("observed table is not in the fiber")
     threshold = float(stat(u_obs.cells))
 
-    if not (isinstance(schedule, SatOnly) or moves):  # None or empty
+    moving = takes_move_steps(schedule)
+    if moving and not moves:  # None or empty
         raise ValueError("this schedule needs a non-empty move set")
-    signed = None if isinstance(schedule, SatOnly) else _signed_moves(moves, spec)
+    signed = _signed_moves(moves, spec) if moving else None
     # a support cell may pass the bound before a later one goes negative
     top = cell_value_bound(spec) + max((dl for mv in signed or () for _, dl in mv), default=0)
     # tabulate only when that costs no more than the walk's own steps

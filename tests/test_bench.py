@@ -14,8 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fiberwalk.bench import (
+    EXACT_CAP,
     BenchRun,
     ExperimentConfig,
+    build_model,
+    conditional_test,
     convergence_step,
     export_results,
     generate_initial_n3f,
@@ -26,6 +29,7 @@ from fiberwalk.bench import (
     run_evaluation,
 )
 from fiberwalk.cli import build_parser
+from fiberwalk.models import Independence, NoThreeWay, Table, fiber_spec_from_observation
 from fiberwalk.sampling import InternalBiasedSampler, SamplerConfig
 from fiberwalk.walk import Alternating, ParallelStarts
 
@@ -123,6 +127,49 @@ def test_convergence_step_single_element():
     assert convergence_step([0.9], 0.1) is None
 
 
+def test_config_refuses_an_axis_of_size_1_when_built():
+    """Every run of such a config would fail in the model; the config
+    is refused before any run."""
+    with pytest.raises(ValueError, match="every axis size must be >= 2"):
+        ExperimentConfig(model="independence", shape=(1, 3), n=4)
+
+
+# -- the model builder
+
+
+def test_build_model_independence_and_quasi():
+    assert build_model("independence", (3, 4)) == Independence((3, 4))
+    assert build_model("quasi", (3, 3), [(0, 1)]).structural_zeros == (1,)
+    assert build_model("n3f", (2, 2, 2)) == NoThreeWay(2)
+
+
+@pytest.mark.parametrize(
+    "name, shape, zeros, message",
+    [
+        ("loglinear", (2, 2), (), "unknown model 'loglinear'"),
+        ("independence", (2, 2, 2), (), "only defined for 2-way shapes"),
+        ("quasi", (2,), (), "only defined for 2-way shapes"),
+        ("n3f", (2, 2), (), "model 'n3f' needs a cubic shape"),
+        ("n3f", (2, 2, 3), (), "model 'n3f' needs a cubic shape"),
+        ("n3f", (2, 2, 2), [(0, 0, 0)], "model 'n3f' needs a cubic shape .* no structural zeros"),
+    ],
+)
+def test_build_model_refusals(name, shape, zeros, message):
+    with pytest.raises(ValueError, match=message):
+        build_model(name, shape, zeros)
+
+
+def test_a_walk_without_move_steps_builds_no_moves():
+    """Alternating(1) is the SatOnly chain, so a move source that does
+    not apply to the fiber (cycle moves on a three-way table) is not
+    built for it."""
+    u = Table((1, 0, 0, 1, 0, 1, 1, 0), (2, 2, 2))
+    spec = fiber_spec_from_observation(NoThreeWay(2), u)
+    test = conditional_test(spec, u, Alternating(1), "cycle", None, SamplerConfig(), 50, 0,
+                            EXACT_CAP)
+    assert (test.rec.steps, test.rec.sat_steps, test.rec.move_steps) == (50, 50, 0)
+
+
 def test_config_refuses_a_negative_exact_cap():
     with pytest.raises(ValueError, match="exact_cap must be >= 0"):
         ExperimentConfig(model="independence", shape=(2, 2), n=4, exact_cap=-1)
@@ -217,6 +264,12 @@ def test_parse_config_refuses_a_command_with_a_stray_placeholder(tmp_path):
         parse_config(path)
 
 
+def test_parse_config_defaults_are_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text("[experiment]\nmodel = independence\nshape = 3, 3\nn = 9\n")
+    assert parse_config(path) == ExperimentConfig("independence", (3, 3), 9)
+
+
 def test_parse_config_requires_experiment_core(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[experiment]\nmodel = independence\n")
@@ -251,18 +304,19 @@ def small_config(**kw):
 def test_run_evaluation_produces_complete_records():
     records = run_evaluation(small_config())
     assert len(records) == 3
-    for rec in records:
-        assert rec.error is None
-        assert rec.exact_p is not None  # tiny fiber, exact reference
+    for run in records:
+        assert run.error is None
+        assert run.test.exact_p is not None  # tiny fiber, exact reference
+        rec = run.test.rec
         assert len(rec.p_sequence) == 200
-        assert rec.final_p == pytest.approx(rec.p_sequence[-1])
+        assert rec.p_final == pytest.approx(rec.p_sequence[-1])
         assert rec.sat_steps + rec.move_steps == 200
 
 
 def test_run_evaluation_deterministic():
     a = run_evaluation(small_config())
     b = run_evaluation(small_config())
-    assert [r.final_p for r in a] == [r.final_p for r in b]
+    assert [r.test.rec.p_final for r in a] == [r.test.rec.p_final for r in b]
     assert [r.convergence_step for r in a] == [r.convergence_step for r in b]
 
 
@@ -286,7 +340,7 @@ def test_export_files_and_determinism(tmp_path):
 
 def test_export_failures_file(tmp_path):
     records = [
-        BenchRun(0, None, None, None, 0, 0, None, error="generator exploded"),
+        BenchRun(0, None, error="generator exploded"),
     ]
     export_results(records, tmp_path)
     text = (tmp_path / "failures.csv").read_text()
@@ -294,6 +348,28 @@ def test_export_failures_file(tmp_path):
     assert "generator exploded" in text
     # summary still written, with no data rows
     assert (tmp_path / "summary.csv").read_text().count("\n") == 1
+
+
+def test_an_aborted_walk_keeps_its_test_and_is_only_a_failure(tmp_path):
+    """A sampler command that always fails aborts each walk at its first
+    SAT step; the run keeps the fit, the exact p and the steps taken
+    before the abort, and is written to failures.csv alone."""
+    records = run_evaluation(small_config(
+        runs=2, schedule=Alternating(5),
+        sampler=SamplerConfig(kind="external", command_template="false"),
+    ))
+    for run in records:
+        assert not run.ok and run.error.startswith("walk aborted: sampler exited with status 1")
+        assert run.convergence_step is None
+        assert run.test.fit.converged and run.test.exact_p is not None
+        rec = run.test.rec
+        assert rec.aborted
+        assert (rec.steps, rec.sat_steps, rec.move_steps) == (4, 0, 4)
+    export_results(records, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["failures.csv", "plot.svg",
+                                                          "summary.csv"]
+    assert (tmp_path / "summary.csv").read_text().count("\n") == 1
+    assert (tmp_path / "failures.csv").read_text().count("walk aborted") == 2
 
 
 def test_quasi_redraws_one_element_fibers(tmp_path):

@@ -355,6 +355,18 @@ def test_enumerate_cnf_stops_at_cap(tmp_path, table_file, capsys):
     assert capsys.readouterr().out == "count: 2 (incomplete: cap reached)\n"
 
 
+def test_a_sampler_command_with_a_format_spec_its_value_cannot_take_fails_before_the_walk(
+        readme_table, capsys):
+    """The default moves-only walk never calls the sampler, so only a
+    check when the sampler is configured can refuse {cnf:d}."""
+    code = run_cli("test", "--table", readme_table, "--sampler", "external",
+                   "--sampler-command", "true {cnf:d}")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sampler command 'true {cnf:d}': argument '{cnf:d}'" in captured.err
+
+
 def test_cycle_moves_on_three_way_table_is_an_error(tmp_path, capsys):
     path = tmp_path / "cube.tbl"
     path.write_text("2 2 2\n1 0 0 1 0 1 1 0\n")

@@ -438,8 +438,11 @@ def test_build_sampler_dispatch():
         ("sampler {seed:{width}}", "placeholder {width}"),
         ("sampler {cnf", "sampler command 'sampler {cnf'"),
         ("sampler '{cnf}", "No closing quotation"),
+        ("true {cnf:d}", "argument '{cnf:d}': Unknown format code 'd'"),
+        ("true {seed:c}", "argument '{seed:c}'"),
     ],
-    ids=["word", "bare", "attribute", "nested", "single-brace", "unclosed-quote"],
+    ids=["word", "bare", "attribute", "nested", "single-brace", "unclosed-quote",
+         "format-spec", "seed-as-char"],
 )
 @pytest.mark.parametrize(
     "build",
@@ -449,7 +452,8 @@ def test_build_sampler_dispatch():
 def test_a_command_placeholder_other_than_cnf_count_seed_is_refused_when_built(
         build, command, message):
     """str.format would fail only at the first call, with an untyped
-    message such as 'print'."""
+    message such as 'print' or "Unknown format code 'd' for object of
+    type 'str'"."""
     with pytest.raises(ValueError) as err:
         build(command)
     assert message in str(err.value)

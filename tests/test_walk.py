@@ -165,6 +165,16 @@ def test_moves_only_requires_moves():
         run_walk(SPEC, U0, MovesOnly(), None, None, 10, count_stat, seed=1)
 
 
+def test_alternating_1_without_moves_is_the_sat_only_chain():
+    """Alternating(1) takes no move steps, so it needs no move set, and
+    it runs the SatOnly chain byte for byte."""
+    def alternating_1(spec, u, schedule, moves, *rest, **kw):
+        return run_walk(spec, u, Alternating(1), None, *rest, **kw)
+
+    assert_same_record(_golden_run("sat-only/uniform", alternating_1),
+                       _golden_run("sat-only/uniform"))
+
+
 def test_sat_schedules_require_sampler():
     with pytest.raises(ValueError):
         run_walk(SPEC, U0, SatOnly(), MOVES, None, 10, count_stat, seed=1)
