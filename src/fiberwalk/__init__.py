@@ -86,7 +86,6 @@ from .walk import (
     MovesOnly,
     ParallelStarts,
     RunRecord,
-    SatOnly,
     connected_components_under_moves,
     empirical_tv,
     make_schedule,

@@ -39,11 +39,11 @@ from .models import (
 from .moves import (
     MOVE_SOURCES,
     DegenerateZeroPattern,
+    basic_moves_two_way,
     build_moves,
-    cycle_moves,
     repair_zero_pattern,
 )
-from .sampling import SamplerConfig, build_sampler, make_rng
+from .sampling import SEED_BOUND, SamplerConfig, build_sampler, make_rng
 from .walk import MovesOnly, RunRecord, Schedule, make_schedule, run_walk, takes_move_steps
 
 __all__ = [
@@ -157,14 +157,15 @@ def generate_initial_quasi(
     d1, d2 = (int(s) for s in shape)
     rng = make_rng(seed, 17)
     for _ in range(QUASI_TABLES):
-        table_seed = int(rng.integers(1 << 62))
+        table_seed = int(rng.integers(SEED_BOUND))
         table = generate_initial_two_way((d1, d2), n, lam, table_seed)
         initial_zeros = tuple(j for j, c in enumerate(table.cells) if c == 0)
         try:
             zeros = repair_zero_pattern((d1, d2), initial_zeros, rng)
         except DegenerateZeroPattern:
             continue
-        if not len(cycle_moves((d1, d2), zeros)):
+        # repaired, every long cycle has a chord, so a cycle means a rectangle
+        if not len(basic_moves_two_way((d1, d2), zeros)):
             continue
         added = [j for j in zeros if table.cells[j] > 0]
         if not added:
@@ -197,7 +198,7 @@ def generate_initial_n3f(
         cells[(int(i) * d + int(j)) * d + int(k)] += 1
     v = Table(cells=tuple(cells), shape=(d, d, d))
     spec = fiber_spec_from_observation(NoThreeWay(d), v)
-    batch_seed = int(rng.integers(1 << 62))
+    batch_seed = int(rng.integers(SEED_BOUND))
     tables = build_sampler(sampler).sample(encode_fiber(spec), 1, batch_seed)
     return tables[0]
 
@@ -232,7 +233,7 @@ class ExperimentConfig:
             )
         if self.move_source == "file" and not self.move_path:
             raise ValueError("move source 'file' needs a path")
-        if self.move_source == "cycle" and self.model == "n3f":
+        if self.move_source == "cycle" and self.model == "n3f" and takes_move_steps(self.schedule):
             raise ValueError("cycle moves apply to two-way tables only")
         if not self.tol > 0:  # refuses NaN too
             raise ValueError("tolerance must be positive")
@@ -258,7 +259,7 @@ class BenchRun:
 
 
 def convergence_step(
-    p_sequence: Sequence[float], reference: float, tol: float = 0.005
+    p_sequence: Sequence[float], reference: float, tol: float = ExperimentConfig.tol
 ) -> int | None:
     """Smallest 1-based t with |p_s - reference| <= tol for all s >= t.
 
@@ -344,8 +345,8 @@ def run_evaluation(config: ExperimentConfig) -> list[BenchRun]:
     master = make_rng(config.seed, 3)
     records: list[BenchRun] = []
     for i in range(config.runs):
-        gen_seed = int(master.integers(1 << 62))
-        walk_seed = int(master.integers(1 << 62))
+        gen_seed = int(master.integers(SEED_BOUND))
+        walk_seed = int(master.integers(SEED_BOUND))
         lam = config.lambdas[i % len(config.lambdas)]  # unused by n3f
         try:
             records.append(_one_run(config, i + 1, lam, gen_seed, walk_seed))

@@ -40,6 +40,7 @@ from .models import FiberSpec, Table
 
 __all__ = [
     "make_rng",
+    "SEED_BOUND",
     "FiberSampler",
     "SamplerConfig",
     "KINDS",
@@ -58,6 +59,8 @@ __all__ = [
 ]
 
 SEED_ENV_VAR = "FIBERWALK_SEED"
+
+SEED_BOUND = 1 << 62  # seeds drawn for tables, runs and sampler batches lie below it
 
 
 def make_rng(*entropy: int) -> np.random.Generator:
@@ -158,7 +161,7 @@ def _placeholders(command: str) -> set[str]:
         bad = ", ".join(f"placeholder {{{n}}}" for n in sorted(names - {"cnf", "count", "seed"}))
         for arg in [] if bad else args:
             try:  # the largest seed a walk draws, which {seed:c} cannot take
-                arg.format(cnf="fiber.cnf", count=1, seed=(1 << 62) - 1)
+                arg.format(cnf="fiber.cnf", count=1, seed=SEED_BOUND - 1)
             except (ValueError, OverflowError) as exc:
                 bad = f"argument {arg!r}: {exc}"
     except ValueError as exc:  # an unclosed quote, or a single { or }

@@ -26,10 +26,11 @@ of the other component; D changes with each batch, so a sampler that
 keeps drawing every component keeps the walk moving, but slowly where
 D is small against the fiber.  The step fires only when the current
 table is in D, about |D| / |fiber| of the time for a uniform sampler,
-so on a fiber far larger than D it seldom does.  A schedule with no
-move steps (SatOnly, Alternating(1)) would not be irreducible under the
-pooled step and keeps the independence step: the draw is accepted with
-r(u, v) above, which is exact only for a uniform sampler.
+so on a fiber far larger than D it seldom does.  Alternating(1), the
+pure-SAT chain (``sat-only``), has no move steps, so it would not be
+irreducible under the pooled step and keeps the independence step: the
+draw is accepted with r(u, v) above, which is exact only for a uniform
+sampler.
 
 Each step records whether its state is a hit: its statistic is at
 least ``hit_cut(observed)``, the observed value less a relative 1e-7
@@ -39,17 +40,18 @@ acceptance; the finished record turns hits into p_i = hits/i.  The cut
 is computed once per run; ``RunRecord.threshold`` keeps the observed
 value.
 
-Schedules: MovesOnly, SatOnly, Alternating(n) (step t is a SAT-step
-iff t mod n = 0) and ParallelStarts(n, k) (k sub-walks started from k
-SAT draws; one sub-walk is chosen uniformly and advanced n move-steps
-at a time; only move-steps count toward N, and the k initial draws are
-the scheme's k SAT-steps).  ParallelStarts never redraws its starts,
-so its sub-walks are weighted by the sampler's law, not by rho.  The
-schedule alone fixes each step's kind, so the record's kinds and step
-counts are derived from it, not counted.  Every schedule with SAT steps
-after the start runs one loop per sampler batch, whose draws feed the
-SAT step it takes (see above), then the tail; MovesOnly runs all N
-steps in one loop, ParallelStarts one run per pick.
+Schedules: MovesOnly, Alternating(n) (step t is a SAT-step iff
+t mod n = 0; ``sat-only`` is Alternating(1)) and ParallelStarts(n, k)
+(k sub-walks started from k SAT draws; one sub-walk is chosen
+uniformly and advanced n move-steps at a time; only move-steps count
+toward N, and the k initial draws are the scheme's k SAT-steps).
+ParallelStarts never redraws its starts, so its sub-walks are weighted
+by the sampler's law, not by rho.  The schedule alone fixes each
+step's kind, so the record's kinds and step counts are derived from
+it, not counted.  Every schedule with SAT steps after the start runs
+one loop per sampler batch, whose draws feed the SAT step it takes
+(see above), then the tail; MovesOnly runs all N steps in one loop,
+ParallelStarts one run per pick.
 
 The walk draws from streams (iterators).  Sampler batches are each
 seeded from the scheduler stream ``make_rng(seed, 0)``, which also
@@ -75,11 +77,10 @@ from .enumeration import (
 )
 from .models import FiberSpec, Table
 from .moves import MoveSet
-from .sampling import FiberSampler, SamplerError, make_rng
+from .sampling import SEED_BOUND, FiberSampler, SamplerError, make_rng
 
 __all__ = [
     "MovesOnly",
-    "SatOnly",
     "Alternating",
     "ParallelStarts",
     "Schedule",
@@ -103,11 +104,6 @@ class MovesOnly:
 
 
 @dataclass(frozen=True)
-class SatOnly:
-    pass
-
-
-@dataclass(frozen=True)
 class Alternating:
     n: int
 
@@ -126,18 +122,19 @@ class ParallelStarts:
             raise ValueError("n and k must be >= 1")
 
 
-Schedule = Union[MovesOnly, SatOnly, Alternating, ParallelStarts]
+Schedule = Union[MovesOnly, Alternating, ParallelStarts]
 
 SCHEDULE_KINDS = ("moves-only", "sat-only", "alternating", "parallel-starts")
 
 
 def make_schedule(kind: str, period: int, walks: int) -> Schedule:
     """The schedule named ``kind``; ``period`` is n for alternating and
-    parallel-starts, ``walks`` is k for parallel-starts."""
+    parallel-starts, ``walks`` is k for parallel-starts.  ``sat-only``
+    is Alternating(1), a SAT step at every step."""
     if kind == "moves-only":
         return MovesOnly()
     if kind == "sat-only":
-        return SatOnly()
+        return Alternating(1)
     if kind == "alternating":
         return Alternating(period)
     if kind == "parallel-starts":
@@ -146,8 +143,8 @@ def make_schedule(kind: str, period: int, walks: int) -> Schedule:
 
 
 def takes_move_steps(schedule: Schedule) -> bool:
-    """False for SatOnly and Alternating(1), the same chain, which propose no moves."""
-    return schedule not in (SatOnly(), Alternating(1))
+    """False for Alternating(1) (``sat-only``) alone, which proposes no moves."""
+    return schedule != Alternating(1)
 
 
 @dataclass
@@ -239,7 +236,7 @@ def _batches(
     one is retried, at most 16 times."""
     while True:
         for _ in range(16):
-            batch = sampler.sample(encoding, chunk, int(sched_rng.integers(1 << 62)))
+            batch = sampler.sample(encoding, chunk, int(sched_rng.integers(SEED_BOUND)))
             if batch:
                 break
         else:
@@ -432,10 +429,7 @@ def run_walk(
     lf = ([math.lgamma(c + 1) for c in range(top + 1)] if top <= max(N, 1 << 16)
           else _LogFactorials())
     # single walks: step t is a SAT step iff period divides t
-    if isinstance(schedule, (MovesOnly, ParallelStarts)):
-        period = 0
-    else:
-        period = 1 if isinstance(schedule, SatOnly) else schedule.n
+    period = schedule.n if isinstance(schedule, Alternating) else 0
     sched_rng = make_rng(seed, 0)
     batches = None
     if not isinstance(schedule, MovesOnly):

@@ -160,9 +160,9 @@ def test_build_model_refusals(name, shape, zeros, message):
 
 
 def test_a_walk_without_move_steps_builds_no_moves():
-    """Alternating(1) is the SatOnly chain, so a move source that does
-    not apply to the fiber (cycle moves on a three-way table) is not
-    built for it."""
+    """Alternating(1), the sat-only chain, takes no move steps, so a
+    move source that does not apply to the fiber (cycle moves on a
+    three-way table) is not built for it."""
     u = Table((1, 0, 0, 1, 0, 1, 1, 0), (2, 2, 2))
     spec = fiber_spec_from_observation(NoThreeWay(2), u)
     test = conditional_test(spec, u, Alternating(1), "cycle", None, SamplerConfig(), 50, 0,
@@ -430,15 +430,32 @@ GOLDEN_EXPORTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_EXPORTS))
-def test_export_golden_bytes(name, tmp_path):
-    text, want = GOLDEN_EXPORTS[name]
+def _export_digests(text, tmp_path):
     config = tmp_path / "exp.ini"
     config.write_text(text)
     out = tmp_path / "out"
     export_results(run_evaluation(parse_config(config)), out)
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert got == want
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXPORTS))
+def test_export_golden_bytes(name, tmp_path):
+    text, want = GOLDEN_EXPORTS[name]
+    assert _export_digests(text, tmp_path) == want
+
+
+@pytest.mark.parametrize("schedule", ["kind = sat-only\n", "kind = alternating\nperiod = 1\n"])
+def test_n3f_config_without_move_steps_takes_cycle_moves(schedule, tmp_path):
+    """A schedule without move steps builds no moves, so an n3f config
+    with cycle moves runs and exports the bytes of its basic-moves
+    config; with move steps it is refused before any run."""
+    text, want = GOLDEN_EXPORTS["n3f-sat-only"]
+    text = text.replace("kind = sat-only\n", schedule) + "[moves]\nsource = cycle\n"
+    assert _export_digests(text, tmp_path) == want
+    config = tmp_path / "moving.ini"
+    config.write_text(text.replace(schedule, "kind = alternating\nperiod = 3\n"))
+    with pytest.raises(ValueError, match="cycle moves apply to two-way tables only"):
+        parse_config(config)
 
 
 def test_plot_is_valid_svg(tmp_path):

@@ -16,6 +16,7 @@ import tracemalloc
 import pytest
 
 import fiberwalk.cli
+from fiberwalk.bench import parse_config
 from fiberwalk.cli import main
 from fiberwalk.enumeration import enumerate_fiber
 from fiberwalk.models import Independence, fiber_spec_from_observation, read_table, write_table
@@ -391,6 +392,40 @@ def test_sat_only_test_builds_no_moves(tmp_path, capsys):
     )
     assert code == 0
     assert "steps: 50 (sat 50, move 0)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", ["basic", "cycle", "file"])
+@pytest.mark.parametrize("kind, period", [
+    ("moves-only", 1), ("sat-only", 1), ("alternating", 1), ("alternating", 3),
+    ("parallel-starts", 3),
+])
+@pytest.mark.parametrize("model, shape, cells", [
+    ("independence", "2 2", "1 1 1 1"), ("n3f", "2 2 2", "1 0 0 1 0 1 1 0"),
+], ids=["independence", "n3f"])
+def test_test_and_bench_accept_the_same_settings(tmp_path, capsys, model, shape, cells, kind,
+                                                  period, source):
+    """``fiberwalk test`` runs exactly the (model, schedule, move source)
+    combinations a bench config accepts: cycle moves on n3f only under a
+    schedule without move steps, and the file source, given no path,
+    under none."""
+    table = tmp_path / "obs.txt"
+    table.write_text(f"{shape}\n{cells}\n")
+    code = run_cli("test", "--table", str(table), "--model", model, "--schedule", kind,
+                   "--period", str(period), "--walks", "2", "--moves", source, "--steps", "20")
+    capsys.readouterr()
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[experiment]\nmodel = {model}\nshape = {shape}\nn = 4\n"
+                      f"[schedule]\nkind = {kind}\nperiod = {period}\nwalks = 2\n"
+                      f"[moves]\nsource = {source}\n")
+    try:
+        parse_config(config)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert (code == 0) == accepted
+    no_move_steps = period == 1 and kind in ("sat-only", "alternating")
+    assert accepted == (source != "file" and (model != "n3f" or source != "cycle"
+                                              or no_move_steps))
 
 
 @pytest.mark.parametrize("strength", ["nan", "inf", "-inf"])

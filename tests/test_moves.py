@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fiberwalk.models import (
     ConstraintMatrix,
@@ -213,6 +214,32 @@ def test_repair_random_patterns_small():
             continue
         assert set(repaired) >= set(zeros)
         assert is_doubly_chordal((4, 4), repaired)
+
+
+zero_patterns = st.tuples(st.integers(2, 5), st.integers(2, 5)).flatmap(
+    lambda shape: st.tuples(
+        st.just(shape), st.sets(st.integers(0, shape[0] * shape[1] - 1),
+                                max_size=shape[0] * shape[1] // 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(zero_patterns, st.integers(0, 2**32))
+# free-cell graphs that are a bare 6-cycle and a bare 8-cycle: cycle
+# moves but no rectangle until repaired
+@example(((3, 3), {0, 4, 8}), 0)
+@example(((4, 4), {2, 3, 4, 7, 8, 9, 13, 14}), 0)
+def test_a_repaired_pattern_has_cycle_moves_iff_it_has_rectangles(pattern, seed):
+    """Once repaired, every long cycle of the free-cell graph has a
+    chord, so a shortest cycle is a rectangle: the cycle moves are empty
+    exactly when the basic moves are, the test generate_initial_quasi
+    makes with the cheaper of the two."""
+    shape, zeros = pattern
+    try:
+        repaired = repair_zero_pattern(shape, zeros, make_rng(seed))
+    except DegenerateZeroPattern:
+        assume(False)
+    cycles, rectangles = cycle_moves(shape, repaired), basic_moves_two_way(shape, repaired)
+    assert bool(len(cycles)) == bool(len(rectangles))
 
 
 # -- connectivity probes

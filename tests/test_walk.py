@@ -48,7 +48,6 @@ from fiberwalk.walk import (
     Alternating,
     MovesOnly,
     ParallelStarts,
-    SatOnly,
     empirical_tv,
     make_schedule,
     rho_distribution,
@@ -88,7 +87,7 @@ def test_schedule_accounting_small():
     sam = InternalUniformSampler()
     rec = run_walk(SPEC, U0, Alternating(2), MOVES, sam, 10, count_stat, seed=5)
     assert rec.sat_steps == 5 and rec.move_steps == 5
-    rec = run_walk(SPEC, U0, SatOnly(), None, sam, 10, count_stat, seed=5)
+    rec = run_walk(SPEC, U0, Alternating(1), None, sam, 10, count_stat, seed=5)
     assert rec.sat_steps == 10 and rec.move_steps == 0
     rec = run_walk(SPEC, U0, MovesOnly(), MOVES, None, 10, count_stat, seed=5)
     assert rec.sat_steps == 0 and rec.move_steps == 10
@@ -153,7 +152,7 @@ def test_sampler_returning_nothing_aborts_after_16_calls():
 
 def test_make_schedule_by_name():
     assert make_schedule("moves-only", 3, 2) == MovesOnly()
-    assert make_schedule("sat-only", 3, 2) == SatOnly()
+    assert make_schedule("sat-only", 3, 2) == Alternating(1)
     assert make_schedule("alternating", 3, 2) == Alternating(3)
     assert make_schedule("parallel-starts", 3, 2) == ParallelStarts(3, 2)
     with pytest.raises(ValueError, match="unknown schedule kind"):
@@ -166,8 +165,8 @@ def test_moves_only_requires_moves():
 
 
 def test_alternating_1_without_moves_is_the_sat_only_chain():
-    """Alternating(1) takes no move steps, so it needs no move set, and
-    it runs the SatOnly chain byte for byte."""
+    """Alternating(1), the sat-only chain, takes no move steps, so it
+    needs no move set and runs the same bytes without one."""
     def alternating_1(spec, u, schedule, moves, *rest, **kw):
         return run_walk(spec, u, Alternating(1), None, *rest, **kw)
 
@@ -177,7 +176,7 @@ def test_alternating_1_without_moves_is_the_sat_only_chain():
 
 def test_sat_schedules_require_sampler():
     with pytest.raises(ValueError):
-        run_walk(SPEC, U0, SatOnly(), MOVES, None, 10, count_stat, seed=1)
+        run_walk(SPEC, U0, Alternating(1), MOVES, None, 10, count_stat, seed=1)
 
 
 def test_out_of_bounds_proposal_is_self_loop():
@@ -200,7 +199,7 @@ def test_state_counts_total_is_step_count():
 
 
 @pytest.mark.parametrize(
-    "schedule", [MovesOnly(), SatOnly(), Alternating(4), ParallelStarts(5, 3)], ids=repr
+    "schedule", [MovesOnly(), Alternating(1), Alternating(4), ParallelStarts(5, 3)], ids=repr
 )
 def test_every_visited_state_is_in_the_fiber(schedule):
     u0 = Table((2, 1, 0, 1, 1, 1, 0, 1, 2), (3, 3))  # a 55-element fiber
@@ -253,7 +252,7 @@ def test_states_within_the_tie_tolerance_are_hits():
     def stat(cells):
         return observed if tuple(cells) == U0.cells else observed * (1 - 1e-9)
 
-    rec = run_walk(SPEC, U0, SatOnly(), None, InternalUniformSampler(), 2000, stat,
+    rec = run_walk(SPEC, U0, Alternating(1), None, InternalUniformSampler(), 2000, stat,
                    seed=3, count_states=True)
     assert rec.threshold == observed
     assert len(rec.state_counts) == 3  # the whole fiber was visited
@@ -303,7 +302,7 @@ def _golden_run(case, walker=run_walk):
     stat = ChiSquare(fit_loglinear(spec.matrix, u).pi, u.n)
     name, sampler_name = case.split("/")
     schedule = {
-        "moves-only": MovesOnly(), "sat-only": SatOnly(), "alternating-3": Alternating(3),
+        "moves-only": MovesOnly(), "sat-only": Alternating(1), "alternating-3": Alternating(3),
         "alternating-10": Alternating(10), "parallel-7-5": ParallelStarts(7, 5),
         "n3f-alternating-2": Alternating(2), "abort-alternating-3": Alternating(3),
         "abort-parallel-7-5": ParallelStarts(7, 5),
@@ -347,7 +346,7 @@ def test_sat_proposal_past_the_exp_range_is_accepted():
     ``exp``."""
     u = Table((1000, 0, 0, 1000), (2, 2))
     spec = fiber_spec_from_observation(Independence((2, 2)), u)
-    rec = run_walk(spec, u, SatOnly(), None, InternalUniformSampler(), 50, count_stat, seed=1)
+    rec = run_walk(spec, u, Alternating(1), None, InternalUniformSampler(), 50, count_stat, seed=1)
     assert rec.steps == 50 and not rec.aborted
     assert rec.accepted[0]
 
@@ -364,10 +363,7 @@ def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_s
     threshold = float(stat(u_obs.cells))
     cut = hit_cut(threshold)
     lg = math.lgamma
-    if isinstance(schedule, (MovesOnly, ParallelStarts)):
-        period = 0
-    else:
-        period = 1 if isinstance(schedule, SatOnly) else schedule.n
+    period = schedule.n if isinstance(schedule, Alternating) else 0
     sched_rng = make_rng(seed, 0)
     encoding = encode_fiber(spec)
     chunk = min(max(1, N // period), 8192) if period else getattr(schedule, "k", 1)
@@ -697,7 +693,7 @@ def test_pooled_step_after_moves_keeps_rho_for_every_pool(n):
 
 
 def test_rho_only_independence_step_with_a_tilted_sampler_is_biased():
-    """The SatOnly kernel with the strength-2 tilted law q(v) ~ exp(2 v_0)
+    """The sat-only kernel with the strength-2 tilted law q(v) ~ exp(2 v_0)
     and acceptance min(1, rho(v) / rho(u)) has a stationary p-value more
     than 0.02 from the exact 0.1: the bias criterion 04 simulates."""
     fiber, rho, hits = _criterion_04_fiber()
@@ -789,7 +785,7 @@ def test_pool_size_is_the_distinct_draws_of_a_pooled_run():
     rec = run_walk(spec, u0, Alternating(4), moves, sam, 400, count_stat, seed=2)
     assert rec.pool_size == len({t.cells for batch in sam.batches for t in batch})
     assert 0 < rec.pool_size < 55
-    for schedule in (MovesOnly(), SatOnly(), Alternating(1), ParallelStarts(4, 3)):
+    for schedule in (MovesOnly(), Alternating(1), ParallelStarts(4, 3)):
         rec = run_walk(spec, u0, schedule, moves, InternalUniformSampler(), 400, count_stat,
                        seed=2)
         assert rec.pool_size == 0, schedule
