@@ -137,7 +137,7 @@ def _add_sampler_args(p: argparse.ArgumentParser) -> None:
         help="external command template with {cnf} {count} {seed} placeholders",
     )
     g.add_argument("--bias-strength", type=float, default=SamplerConfig.bias_strength)
-    g.add_argument("--timeout", type=_positive, default=None, help="seconds per external sampler call")
+    g.add_argument("--timeout", type=_positive, default=None, help="seconds per external sampler call, from its launch")
 
 
 def _parse_zeros(tokens, shape) -> tuple[tuple[int, ...], ...]:

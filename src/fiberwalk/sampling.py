@@ -5,7 +5,8 @@ implementations are provided:
 
 * :class:`ExternalSampler` shells out to an off-the-shelf CNF sampler
   (one solution per line of output), for running against tools like
-  uniform-ish hashing samplers.
+  uniform-ish hashing samplers.  Its ``start`` launches a call and
+  returns it running, so a caller can keep several calls in flight.
 * :class:`InternalUniformSampler` enumerates the fiber once and draws
   exactly uniformly.  This is the reference sampler for tests and for
   instances small enough to enumerate.
@@ -20,15 +21,18 @@ than silently thinned.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-import re
+import select
 import shlex
+import signal
 import string
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -95,6 +99,11 @@ class SamplerValidityError(SamplerError):
 
 
 class FiberSampler(Protocol):
+    """A sampler may also have ``start(encoding, count, seed)``, as
+    :class:`ExternalSampler` does, returning a running call whose
+    ``result()`` returns what ``sample`` would and whose ``close()``
+    stops it; the walk then keeps the calls it needs in flight."""
+
     def sample(self, encoding: CNFEncoding, count: int, seed: int) -> list[Table]:
         """Draw ``count`` (or fewer, if the tool under-delivers)
         validated fiber elements."""
@@ -124,7 +133,7 @@ class SamplerConfig:
         if self.kind == "external":
             if not self.command_template:
                 raise ValueError("external sampler needs a command_template")
-            _placeholders(self.command_template)
+            _parse_template(self.command_template)
         if self.timeout is not None and not self.timeout > 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout:g}")
         if not math.isfinite(self.bias_strength):
@@ -146,11 +155,12 @@ def build_sampler(config: SamplerConfig) -> "FiberSampler":
     return InternalUniformSampler()
 
 
-def _placeholders(command: str) -> set[str]:
-    """The placeholders of a command template, refusing any but {cnf},
-    {count} and {seed}, or a template shlex or str.format cannot read,
-    when the sampler is configured rather than at its first call; a
-    format spec its value cannot take, such as {cnf:d}, too."""
+def _parse_template(command: str) -> tuple[list[str], set[str]]:
+    """A command template's arguments, split as a shell would, and its
+    placeholders, refusing any but {cnf}, {count} and {seed}, or a
+    template shlex or str.format cannot read, when the sampler is
+    configured rather than at its first call; a format spec its value
+    cannot take, such as {cnf:d}, too."""
     def fields(text: str) -> list[str]:  # a format spec may hold placeholders too
         return [n for _, name, spec, _ in string.Formatter().parse(text) if name is not None
                 for n in (name, *fields(spec))]
@@ -169,29 +179,28 @@ def _placeholders(command: str) -> set[str]:
     if bad:
         raise ValueError(f"sampler command {command!r}: {bad}; only {{cnf}}, {{count}} "
                          "and {seed} are filled in, and literal braces are written {{ and }}")
-    return names
+    return args, names
 
 
-_PIECE = re.compile(r"[^\n]+")
-
-
-def _parse_solutions(text: str) -> list[list[int]]:
-    """Solution literals from sampler output: lines of integers
-    terminated by 0, with or without a leading ``v``; 0 splits
-    solutions even across lines.
+def _parse_solutions(lines: Iterable[str]) -> list[list[int]]:
+    """Solution literals from sampler output, given as the lines a text
+    file yields: lines of integers terminated by 0, with or without a
+    leading ``v``; 0 splits solutions even across lines.
 
     A sampler repeats lines, so each distinct line is converted once.
     A line holding exactly one solution, met with nothing pending,
     yields the list converted at its first occurrence and a copy of it
     at every repeat.  The output is read one line at a time, so
-    repeated lines cost no more memory than the solutions returned.
-    Each solution is a distinct list.
+    neither it nor its repeated lines cost more memory than the
+    solutions returned.  Each solution is a distinct list.
     """
     solutions: list[list[int]] = []
     pending: list[int] = []
     seen: dict[str, tuple[list[int] | None, list[int] | None]] = {}
-    for match in _PIECE.finditer(text):
-        piece = match[0]
+    for line in lines:
+        piece = line[:-1] if line.endswith("\n") else line
+        if not piece:
+            continue
         entry = seen.get(piece)
         repeat = entry is not None
         if not repeat:
@@ -261,7 +270,8 @@ class ExternalSampler:
     error.  ``calls``, ``solutions`` and ``invalid`` count the launches,
     the parsed solutions and the dropped ones over the sampler's life.
     Each call writes the DIMACS text to a temporary file for {cnf} and
-    removes it once the command has exited.
+    removes it once the command has exited.  ``timeout`` counts from
+    the call's launch.
     """
 
     command: str
@@ -269,45 +279,41 @@ class ExternalSampler:
     calls: int = field(default=0, init=False)
     solutions: int = field(default=0, init=False)
     invalid: int = field(default=0, init=False)
+    _argv: list[str] = field(init=False, repr=False, compare=False)
+    _seed_env: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _placeholders(self.command)
+        # split once, before filling in, so a path with spaces stays one argument
+        self._argv, names = _parse_template(self.command)
+        self._seed_env = "seed" not in names
 
     def sample(self, encoding: CNFEncoding, count: int, seed: int) -> list[Table]:
         if count <= 0:
             return []
-        env = (None if "seed" in _placeholders(self.command)
-               else {**os.environ, SEED_ENV_VAR: str(seed)})
+        return self.start(encoding, count, seed).result()
+
+    def start(self, encoding: CNFEncoding, count: int, seed: int) -> "_Call":
+        """Write the DIMACS file and launch the command on it.  The
+        returned call's ``result()`` waits for the command and returns
+        what ``sample`` returns, or raises what it raises, a failed
+        launch included; its ``close()`` kills the command and removes
+        its files."""
+        env = {**os.environ, SEED_ENV_VAR: str(seed)} if self._seed_env else None
         fd, path = tempfile.mkstemp(suffix=".cnf", prefix="fiber")
         try:
             with os.fdopen(fd, "w") as f:
                 encoding.to_dimacs(f)
-            # split first, so a path with spaces stays one argument
-            argv = [arg.format(cnf=path, count=count, seed=seed)
-                    for arg in shlex.split(self.command)]
-            self.calls += 1
-            try:
-                proc = subprocess.run(
-                    argv,
-                    capture_output=True,
-                    text=True,
-                    timeout=self.timeout,
-                    env=env,
-                )
-            except OSError as exc:
-                raise SamplerLaunchError(f"could not launch sampler: {exc}") from exc
-            except subprocess.TimeoutExpired as exc:
-                raise SamplerTimeoutError(
-                    f"sampler timed out after {self.timeout}s"
-                ) from exc
-        finally:
+            argv = [arg.format(cnf=path, count=count, seed=seed) for arg in self._argv]
+            call = _Call(self, encoding, argv, env, path)
+        except BaseException:
             os.unlink(path)
-        if proc.returncode != 0:
-            raise SamplerExitError(
-                f"sampler exited with status {proc.returncode}: "
-                f"{proc.stderr.strip()[:500]}"
-            )
-        solutions = _parse_solutions(proc.stdout)
+            raise
+        self.calls += 1
+        return call
+
+    def _members(self, encoding: CNFEncoding, solutions: list[list[int]]) -> list[Table]:
+        """The fiber elements among a call's solutions, counted into the
+        sampler's totals; an error when none or under half are."""
         if not solutions:
             raise SamplerOutputError("no valid samples: output held no solutions")
         # A sampler repeats solutions, so each distinct one is decoded
@@ -335,6 +341,83 @@ class ExternalSampler:
                 f"{invalid} of {len(solutions)} solutions are not fiber elements"
             )
         return tables
+
+
+class _Call:
+    """One launched call of an :class:`ExternalSampler`.  The command
+    runs in a session of its own, so a kill reaches the processes it
+    starts, and writes to unnamed temporary files rather than pipes, so
+    a command that nobody waits on yet never blocks on a full pipe."""
+
+    def __init__(self, sampler: ExternalSampler, encoding: CNFEncoding, argv: list[str],
+                 env: dict[str, str] | None, path: str):
+        self.sampler, self.encoding, self.path = sampler, encoding, path
+        self.out = tempfile.TemporaryFile("w+")
+        self.err = tempfile.TemporaryFile("w+")
+        self.error: SamplerError | None = None
+        self.proc: subprocess.Popen | None = None
+        self.deadline = None if sampler.timeout is None else time.monotonic() + sampler.timeout
+        try:
+            self.proc = subprocess.Popen(argv, stdout=self.out, stderr=self.err, env=env,
+                                         start_new_session=True)
+        except OSError as exc:
+            self.error = SamplerLaunchError(f"could not launch sampler: {exc}")
+            self.close()
+
+    def result(self) -> list[Table]:
+        """Wait for the command, until the deadline at most, then parse,
+        decode and validate its output."""
+        try:
+            if self.error is not None:
+                raise self.error
+            left = None if self.deadline is None else max(0.0, self.deadline - time.monotonic())
+            try:
+                code = _wait(self.proc, left)
+            except subprocess.TimeoutExpired as exc:
+                raise SamplerTimeoutError(
+                    f"sampler timed out after {self.sampler.timeout}s"
+                ) from exc
+            if code != 0:
+                self.err.seek(0)
+                raise SamplerExitError(
+                    f"sampler exited with status {code}: {self.err.read().strip()[:500]}"
+                )
+            self.out.seek(0)
+            solutions = _parse_solutions(self.out)
+        finally:
+            self.close()
+        return self.sampler._members(self.encoding, solutions)
+
+    def close(self) -> None:
+        """Kill the command and what it started if it still runs, reap
+        it, and remove the call's files; a second close does nothing."""
+        if self.proc is not None and self.proc.poll() is None:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(self.proc.pid, signal.SIGKILL)
+            self.proc.wait()
+        self.out.close()
+        self.err.close()
+        if self.path is not None:
+            os.unlink(self.path)
+            self.path = None
+
+
+def _wait(proc: subprocess.Popen, timeout: float | None) -> int:
+    """``proc.wait(timeout)``, woken by the exit itself where the
+    platform has process file descriptors; elsewhere a wait with a
+    timeout polls, napping up to 50 ms at a time."""
+    if timeout is not None and hasattr(os, "pidfd_open"):
+        try:
+            fd = os.pidfd_open(proc.pid)
+        except OSError:  # a kernel or sandbox without pidfd_open
+            pass
+        else:
+            try:
+                if not select.select([fd], [], [], timeout)[0]:
+                    raise subprocess.TimeoutExpired(proc.args, timeout)
+            finally:
+                os.close(fd)
+    return proc.wait(timeout)
 
 
 @dataclass

@@ -53,20 +53,30 @@ one loop per sampler batch, whose draws feed the SAT step it takes
 (see above), then the tail; MovesOnly runs all N steps in one loop,
 ParallelStarts one run per pick.
 
-The walk draws from streams (iterators).  Sampler batches are each
-seeded from the scheduler stream ``make_rng(seed, 0)``, which also
-draws the pooled steps' picks (one call per batch, after the batch
-joins D) and picks the ParallelStarts sub-walks.  A batch of ``chunk``
-draws serves ``chunk`` SAT steps.  Sub-walk w (1 for a single walk) draws moves, signs and
-acceptance uniforms 8,192 at a time from ``make_rng(seed, w)``: a
-uniform for each proposal in the orthant and each independence step.
+The walk draws from streams (iterators).  The scheduler stream
+``make_rng(seed, 0)`` gives each sampler batch its seed and, for the
+pooled step, the ``chunk`` uniforms drawn right after that seed,
+however short the batch: its picks map its first len(batch) uniforms
+through the inverse CDF of rho on D, as ``Generator.choice`` would.
+ParallelStarts draws its sub-walk picks from that stream before its
+first batch.  A batch holds at most ``chunk`` draws and serves as many
+SAT steps; an empty one moves on to the next batch's seed.  A batch's
+seed and uniforms are fixed when it is launched, so a sampler with
+``start`` runs the calls the run will use side by side (see
+``_batches``) and the record does not depend on how many ran at once.
+Sub-walk w (1 for a single walk) draws moves, signs and acceptance
+uniforms 8,192 at a time from ``make_rng(seed, w)``: a uniform for each
+proposal in the orthant and each independence step.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
+import os
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -228,20 +238,52 @@ class _LogFactorials(dict):
         return v
 
 
-def _batches(
-    sampler: FiberSampler, encoding: CNFEncoding, sched_rng, chunk: int
-) -> Iterator[list[Table]]:
-    """Sampler batches, one call each, each with a fresh seed from the
-    scheduler stream.  A short batch is used as returned; only an empty
-    one is retried, at most 16 times."""
-    while True:
-        for _ in range(16):
-            batch = sampler.sample(encoding, chunk, int(sched_rng.integers(SEED_BOUND)))
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _batches(sampler: FiberSampler, encoding: CNFEncoding, sched_rng, chunk: int, need: int,
+             reserve: bool) -> Iterator[tuple[list[Table], np.ndarray | None]]:
+    """Sampler batches of at most ``chunk`` draws, one call each, each
+    with a fresh seed from the scheduler stream, and with ``reserve``
+    the ``chunk`` uniforms drawn right after that seed for its pooled
+    picks.  A short batch is used as returned; an empty one moves on to
+    the next batch, and 16 empty batches in a row are an error.
+
+    A sampler with ``start`` keeps the next calls running while earlier
+    ones are taken: at most one per usable CPU, and only while the draws
+    received and those asked of untaken calls fall short of ``need``, the
+    draws the run uses, so every launched call is used.  Other samplers
+    are called in order as each batch is taken.  Closing the feed kills
+    the calls still in flight."""
+    start = getattr(sampler, "start", None)
+    width = _usable_cpus() if start else 1
+    pending: deque = deque()  # (call, uniforms), oldest first
+    received = empty = 0
+    try:
+        while True:
+            while len(pending) < width and (not pending or received + chunk * len(pending) < need):
+                seed = int(sched_rng.integers(SEED_BOUND))
+                uniforms = sched_rng.random(chunk) if reserve else None
+                call = (start(encoding, chunk, seed) if start
+                        else partial(sampler.sample, encoding, chunk, seed))
+                pending.append((call, uniforms))
+            call, uniforms = pending.popleft()
+            batch = (call.result() if start else call())[:chunk]
+            received += len(batch)
             if batch:
-                break
-        else:
-            raise SamplerError("sampler repeatedly returned no valid elements")
-        yield batch
+                empty = 0
+                yield batch, uniforms
+            else:
+                empty += 1
+                if empty == 16:
+                    raise SamplerError("sampler repeatedly returned no valid elements")
+    finally:
+        if start:
+            for call, _ in pending:
+                call.close()
 
 
 class _Pool:
@@ -251,18 +293,19 @@ class _Pool:
     in one float64 array and rho restricted to D.  Past ``_POOL_CAP``
     tables the oldest leave D as new ones join."""
 
-    __slots__ = ("index", "cells", "logw", "probs")
+    __slots__ = ("index", "cells", "logw", "cdf")
 
     def __init__(self):
         self.index: dict[tuple[int, ...], None] = {}
         self.cells: list[tuple[int, ...]] = []
-        self.logw = self.probs = np.empty(0)
+        self.logw = self.cdf = np.empty(0)
 
-    def add(self, batch: list[Table], rng: np.random.Generator) -> memoryview:
+    def add(self, batch: list[Table], uniforms: np.ndarray) -> memoryview:
         """Add the batch's tables that D lacks, drop the oldest past the
-        cap, renormalize rho on D, and draw the batch's picks, one pool
-        index per table, from rho on the new D; the memoryview yields
-        them as ints without a list of them."""
+        cap, renormalize rho on D, and map the batch's first len(batch)
+        uniforms to its picks, one pool index per table, by the inverse
+        CDF of rho on the new D, as ``Generator.choice`` would map them;
+        the memoryview yields them as ints without a list of them."""
         index, cells, new = self.index, self.cells, []
         for t in batch:
             c = t.cells
@@ -278,8 +321,9 @@ class _Pool:
                     del index[c]
                 del cells[:drop]
                 self.logw = self.logw[drop:]
-            self.probs = normalized_exp(self.logw)
-        return memoryview(rng.choice(len(cells), size=len(batch), p=self.probs))
+            self.cdf = normalized_exp(self.logw).cumsum()
+            self.cdf /= self.cdf[-1]
+        return memoryview(self.cdf.searchsorted(uniforms[:len(batch)], side="right"))
 
 
 def _moves(rng: np.random.Generator, signed: list) -> Iterator[tuple]:
@@ -436,44 +480,49 @@ def run_walk(
         if sampler is None:
             raise ValueError("this schedule needs a sampler")
         chunk = min(max(1, N // period), _CHUNK) if period else schedule.k
-        batches = _batches(sampler, encode_fiber(spec), sched_rng, chunk)
+        need = N // period if period else schedule.k  # the SAT draws the run takes
+        # move steps between SAT steps take the pooled step, which reserves uniforms
+        batches = _batches(sampler, encode_fiber(spec), sched_rng, chunk, need, period > 1)
     rec = _Recorder(N, stat, threshold, count_states)
-
-    if isinstance(schedule, ParallelStarts):
-        k, n = schedule.k, schedule.n
-        picks = sched_rng.integers(0, k, size=-(-N // n)).tolist()
-        feed = chain.from_iterable(batches)
-        try:
-            starts = [next(feed) for _ in range(k)]
-        except SamplerError as exc:
-            return _finish(rec, spec, u_obs, [], 0, 0, str(exc))
-        walks = [_Walk(s, make_rng(seed, 1 + w), signed, lf, rec) for w, s in enumerate(starts)]
-        for pick, done in zip(picks, range(0, N, n)):
-            walks[pick].steps(min(n, N - done), rec)
-        return _finish(rec, spec, u_obs, [w.cur_t for w in walks], 0, k, None)
-
-    walk = _Walk(u_obs, make_rng(seed, 1), signed, lf, rec)
-    # move steps between SAT steps take the pooled step, none the independence step
-    pool = _Pool() if period > 1 else None
-    reason = None
     try:
-        left = N // period if period else 0
-        while left:  # one batch of SAT steps, and the move steps before each
+        if isinstance(schedule, ParallelStarts):
+            k, n = schedule.k, schedule.n
+            picks = sched_rng.integers(0, k, size=-(-N // n)).tolist()
+            feed = chain.from_iterable(batch for batch, _ in batches)
             try:
-                draws = next(batches)
-            except SamplerError:
-                walk.steps(period - 1, rec)  # the moves before the SAT step that failed
-                raise
-            if pool is not None:
-                draws = pool.add(draws, sched_rng)
-            draws = draws[:left]
-            walk.steps(len(draws) * period, rec, period, draws, pool)
-            left -= len(draws)
-        walk.steps(N % period if period else N, rec)
-    except SamplerError as exc:
-        reason = str(exc)
-    return _finish(rec, spec, u_obs, [walk.cur_t], period, 0, reason,
-                   len(pool.cells) if pool else 0)
+                starts = [next(feed) for _ in range(k)]
+            except SamplerError as exc:
+                return _finish(rec, spec, u_obs, [], 0, 0, str(exc))
+            walks = [_Walk(s, make_rng(seed, 1 + w), signed, lf, rec)
+                     for w, s in enumerate(starts)]
+            for pick, done in zip(picks, range(0, N, n)):
+                walks[pick].steps(min(n, N - done), rec)
+            return _finish(rec, spec, u_obs, [w.cur_t for w in walks], 0, k, None)
+
+        walk = _Walk(u_obs, make_rng(seed, 1), signed, lf, rec)
+        pool = _Pool() if period > 1 else None
+        reason = None
+        try:
+            left = N // period if period else 0
+            while left:  # one batch of SAT steps, and the move steps before each
+                try:
+                    draws, uniforms = next(batches)
+                except SamplerError:
+                    walk.steps(period - 1, rec)  # the moves before the SAT step that failed
+                    raise
+                if pool is not None:
+                    draws = pool.add(draws, uniforms)
+                draws = draws[:left]
+                walk.steps(len(draws) * period, rec, period, draws, pool)
+                left -= len(draws)
+            walk.steps(N % period if period else N, rec)
+        except SamplerError as exc:
+            reason = str(exc)
+        return _finish(rec, spec, u_obs, [walk.cur_t], period, 0, reason,
+                       len(pool.cells) if pool else 0)
+    finally:
+        if batches is not None:
+            batches.close()  # kills the sampler calls still in flight
 
 
 def _finish(rec, spec, u_obs, final_cells, period, initial_draws, reason,

@@ -211,12 +211,12 @@ def test_write_layout_one_line_per_cell():
 
 
 def test_parse_solution_line():
-    # the parser ExternalSampler applies to sampler output
-    assert _parse_solutions("v 1 -2 3 0") == [[1, -2, 3]]
-    assert _parse_solutions("1 -2 0") == [[1, -2]]
+    # the parser ExternalSampler applies to the lines of sampler output
+    assert _parse_solutions(io.StringIO("v 1 -2 3 0")) == [[1, -2, 3]]
+    assert _parse_solutions(io.StringIO("1 -2 0")) == [[1, -2]]
     # banners and comments are skipped; 0 splits solutions across lines
     text = "c banner\ns SATISFIABLE\nv 1 -2\nv 3 0 -1 2 0\n"
-    assert _parse_solutions(text) == [[1, -2, 3], [-1, 2]]
+    assert _parse_solutions(io.StringIO(text)) == [[1, -2, 3], [-1, 2]]
 
 
 @settings(max_examples=20, deadline=None)

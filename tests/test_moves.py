@@ -303,6 +303,7 @@ def test_package_import_skips_networkx():
     importing the package."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    check = "import fiberwalk, sys; assert 'networkx' not in sys.modules"
+    # every public name, so every module, not the lazy package alone
+    check = "from fiberwalk import *; import sys; assert 'networkx' not in sys.modules"
     subprocess.run([sys.executable, "-c", check], env=env, check=True)
     assert len(cycle_moves((3, 3)).moves) == 15

@@ -9,7 +9,9 @@ callers can tell a crashed sampler from one that emits garbage.
 
 import io
 import os
+import signal
 import tempfile
+import time
 import tracemalloc
 from collections import Counter
 
@@ -118,7 +120,7 @@ def sampler_outputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(sampler_outputs())
 def test_parse_solutions_matches_the_line_at_a_time_parser(text):
-    got = _parse_solutions(text)
+    got = _parse_solutions(io.StringIO(text))  # its lines end at "\n" only
     assert got == reference_parse(text)
     assert len({id(solution) for solution in got}) == len(got)
 
@@ -133,9 +135,10 @@ def test_parse_memory_grows_with_distinct_lines_only():
         ) + " 0\n"
 
     def peak(text):
+        lines = io.StringIO(text)
         tracemalloc.start()
         try:
-            solutions = _parse_solutions(text)
+            solutions = _parse_solutions(lines)
             return tracemalloc.get_traced_memory()[1], len(solutions)
         finally:
             tracemalloc.stop()
@@ -470,3 +473,102 @@ def test_doubled_braces_reach_the_command_as_literal_braces(tmp_path):
     script.chmod(0o755)
     out = ExternalSampler(f"{script} {{{{seed}}}} {{cnf}}").sample(enc, 1, seed=7)
     assert out[0].cells == FIBER[0].cells
+
+
+# -- a launched call: output to files, a deadline from launch, a kill
+
+
+def gone(pid, wait=5.0):
+    """Whether ``pid`` stops naming a running process within ``wait``
+    seconds: it is gone, or a zombie left for its reaper."""
+    deadline = time.monotonic() + wait
+    while True:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                if f.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except FileNotFoundError:
+            pass
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+
+
+def test_a_call_nobody_waits_on_yet_runs_to_its_end(tmp_path):
+    """Output goes to a file, not a pipe, so a call that prints far more
+    than a pipe holds finishes before anyone reads it."""
+    enc = encode_fiber(SPEC)
+    cmd = solution_script(tmp_path, "big", [lits_line(enc, FIBER[0])] * 50_000)
+    call = ExternalSampler(cmd).start(enc, 50_000, 1)
+    deadline = time.monotonic() + 20
+    while call.proc.poll() is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert call.proc.returncode == 0
+    assert len(call.result()) == 50_000
+
+
+def test_a_timed_out_call_is_killed_with_its_deadline_counted_from_launch(tmp_path,
+                                                                         monkeypatch):
+    """A call taken after its deadline fails at once; the command, and
+    the process it started, are killed, and the call's files removed."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    enc = encode_fiber(SPEC)
+    script = tmp_path / "slow.sh"
+    script.write_text(f"#!/bin/sh\nsleep 30 &\necho $! > {tmp_path}/grandchild\nwait\n")
+    script.chmod(0o755)
+    call = ExternalSampler(f"{script} {{cnf}}", timeout=0.5).start(enc, 1, 1)
+    time.sleep(0.7)
+    start = time.monotonic()
+    with pytest.raises(SamplerTimeoutError, match="after 0.5s"):
+        call.result()
+    assert time.monotonic() - start < 0.3
+    assert call.proc.returncode == -signal.SIGKILL
+    assert gone(int((tmp_path / "grandchild").read_text()))
+    assert list(tmp.iterdir()) == []
+
+
+def test_closing_a_running_call_kills_it_and_removes_its_files(tmp_path, monkeypatch):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    enc = encode_fiber(SPEC)
+    script = tmp_path / "hang.sh"
+    script.write_text("#!/bin/sh\nsleep 30\n")
+    script.chmod(0o755)
+    sam = ExternalSampler(f"{script} {{cnf}}")
+    call = sam.start(enc, 1, 1)
+    assert len(list(tmp.iterdir())) == 1  # the DIMACS file
+    call.close()
+    call.close()
+    assert call.proc.returncode == -signal.SIGKILL
+    assert list(tmp.iterdir()) == []
+    assert sam.calls == 1
+
+
+def pidfds_work():
+    try:
+        os.close(os.pidfd_open(os.getpid()))
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not pidfds_work(), reason="no process file descriptors here")
+def test_a_wait_with_a_timeout_is_woken_by_the_exit(tmp_path, monkeypatch):
+    """Where the platform has process file descriptors, a call with a
+    timeout waits on its command's exit rather than polling with naps."""
+    enc = encode_fiber(SPEC)
+    script = tmp_path / "late.sh"
+    script.write_text(f"#!/bin/sh\nsleep 0.2\necho '{lits_line(enc, FIBER[0])}'\n")
+    script.chmod(0o755)
+    call = ExternalSampler(f"{script} {{cnf}}", timeout=30).start(enc, 1, 1)
+    naps = []
+    monkeypatch.setattr(time, "sleep", naps.append)
+    assert call.result()[0].cells == FIBER[0].cells
+    assert naps == []

@@ -16,6 +16,9 @@ least the observed one less a relative 1e-7, so ties survive rounding.
 import hashlib
 import itertools
 import math
+import os
+import sys
+import tempfile
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -37,6 +40,8 @@ from fiberwalk.models import (
 )
 from fiberwalk.moves import basic_moves_n3f, basic_moves_two_way, cycle_moves, load_basis
 from fiberwalk.sampling import (
+    SEED_BOUND,
+    ExternalSampler,
     InternalBiasedSampler,
     InternalUniformSampler,
     SamplerError,
@@ -317,9 +322,9 @@ def _golden_run(case, walker=run_walk):
 
 
 GOLDEN_RECORDS = {
-    # aborts at SAT step 66, on the sampler's fourth call: 65 steps
+    # aborts at SAT step 66, on the sampler's fourth call: 65 steps, p 57/65
     # (the alternating runs' p is after 3,000 steps; exact p by enumeration)
-    "abort-alternating-3/fail-after-3": "873dd2256e34a0343377110e29c97df8dc9316379c6252a0620f104aa7056ae2",
+    "abort-alternating-3/fail-after-3": "b5545f4b124b397aaf46130a25fee9aea10f96f3b5f0d573805634b644946deb",
     "abort-parallel-7-5/fail-at-once": "16e19c80b2b6d5e96f414a12560c8b5e787fd6c01c45d1af5e62707146e1de7c",
     "alternating-10/biased": "d2801d04368ced5e233912e480e3de49d22352b946205ae7ee4a2962a2063793",  # p 0.8763, exact 0.8714
     "alternating-10/uniform": "45c63cabdd9356bc533e98f3b74aedd69531904d68fcde40a1e489b7919e30fb",  # p 0.8923, exact 0.8714
@@ -369,17 +374,22 @@ def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_s
     chunk = min(max(1, N // period), 8192) if period else getattr(schedule, "k", 1)
 
     def batches():
+        """Each batch takes a seed and, for the pooled step, the next
+        ``chunk`` uniforms of the scheduler stream, whatever its length;
+        an empty batch moves on to the next seed."""
         while True:
             for _ in range(16):
-                batch = sampler.sample(encoding, chunk, int(sched_rng.integers(1 << 62)))
+                batch_seed = int(sched_rng.integers(1 << 62))
+                uniforms = sched_rng.random(chunk) if period > 1 else None
+                batch = sampler.sample(encoding, chunk, batch_seed)[:chunk]
                 if batch:
                     break
             else:
                 raise SamplerError("sampler repeatedly returned no valid elements")
-            yield batch
+            yield batch, uniforms
 
     def proposals():
-        for batch in batches():
+        for batch, _ in batches():
             yield from batch
 
     pool = {}  # D: cells -> log rho, oldest first
@@ -387,8 +397,9 @@ def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_s
     def pool_picks():
         """Each batch's new tables join D in order of first appearance,
         the oldest leave D past the cap, and the batch's SAT steps pick
-        their tables from rho on that D."""
-        for batch in batches():
+        their tables from rho on that D, by its inverse CDF on the
+        batch's first len(batch) uniforms."""
+        for batch, uniforms in batches():
             for t in batch:
                 if t.cells not in pool:
                     pool[t.cells] = -sum(lg(c + 1) for c in t.cells)
@@ -397,7 +408,9 @@ def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_s
             cells = list(pool)
             logw = np.array([pool[c] for c in cells])
             w = np.exp(logw - logw.max())
-            for k in sched_rng.choice(len(cells), size=len(batch), p=w / w.sum()).tolist():
+            cdf = np.cumsum(w / w.sum())
+            cdf /= cdf[-1]
+            for k in np.searchsorted(cdf, uniforms[:len(batch)], side="right").tolist():
                 yield cells[k]
 
     def move_stream(rng):
@@ -789,3 +802,180 @@ def test_pool_size_is_the_distinct_draws_of_a_pooled_run():
         rec = run_walk(spec, u0, schedule, moves, InternalUniformSampler(), 400, count_stat,
                        seed=2)
         assert rec.pool_size == 0, schedule
+
+
+# -- the sampler feed: calls kept in flight, each one used
+
+
+class StartingSampler:
+    """``per_call`` uniform draws per call, however many were asked for,
+    through ``start`` (when ``starts``) or ``sample``; counts the calls
+    launched, taken and at most in flight at once."""
+
+    def __init__(self, per_call, starts=True):
+        self.inner = InternalUniformSampler()
+        self.per_call = per_call
+        self.launched = self.taken = self.in_flight = self.peak = 0
+        if not starts:
+            self.start = None
+
+    def sample(self, encoding, count, seed):
+        self.launched += 1
+        self.taken += 1
+        return self.inner.sample(encoding, self.per_call, seed)
+
+    def start(self, encoding, count, seed):
+        self.launched += 1
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+
+        def result():
+            self.in_flight -= 1
+            self.taken += 1
+            return self.inner.sample(encoding, self.per_call, seed)
+
+        return SimpleNamespace(result=result, close=lambda: None)
+
+
+def sample_only(sampler):
+    """A view of ``sampler`` without ``start``, as tracing wrappers are."""
+    return SimpleNamespace(sample=sampler.sample)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("per_call", [10_000, 8192, 6000, 700])
+@pytest.mark.parametrize("period, N", [(1, 50_000), (2, 40_000), (10, 100_000)])
+def test_calls_in_flight_stay_within_the_cpus_and_the_draws_needed(monkeypatch, cpus, per_call,
+                                                                   period, N):
+    """The run makes the sequential feed's calls, takes every call it
+    launches, keeps no more in flight than the CPUs or the full batches
+    the run needs, and records the same bytes; a call returning more
+    than it was asked for serves as many SAT steps as it was asked for."""
+    monkeypatch.setattr(walk_module, "_usable_cpus", lambda: cpus)
+    u0 = Table((2, 1, 0, 1, 1, 1, 0, 1, 2), (3, 3))
+    spec = fiber_spec_from_observation(Independence((3, 3)), u0)
+    run = (spec, u0, Alternating(period), basic_moves_two_way((3, 3)))
+    sequential = StartingSampler(per_call, starts=False)
+    want = run_walk(*run, sequential, N, count_stat, seed=6)
+    concurrent = StartingSampler(per_call)
+    got = run_walk(*run, concurrent, N, count_stat, seed=6)
+    need = N // period
+    chunk = min(need, walk_module._CHUNK)
+    calls = -(-need // min(per_call, chunk))
+    assert sequential.launched == concurrent.launched == concurrent.taken == calls
+    assert concurrent.in_flight == 0
+    assert concurrent.peak == min(cpus, -(-need // chunk))  # as many as full batches need
+    assert record_digest(got) == record_digest(want)
+
+
+def test_parallel_starts_launches_one_batch_of_k(monkeypatch):
+    monkeypatch.setattr(walk_module, "_usable_cpus", lambda: 4)
+    sam = StartingSampler(per_call=8192)
+    rec = run_walk(SPEC, U0, ParallelStarts(3, 5), MOVES, sam, 300, count_stat, seed=2)
+    assert (sam.launched, sam.taken, sam.peak) == (1, 1, 1)
+    assert rec.sat_steps == 5
+    assert record_digest(rec) == record_digest(
+        run_walk(SPEC, U0, ParallelStarts(3, 5), MOVES, sample_only(sam), 300, count_stat,
+                 seed=2))
+
+
+STUB = '''#!{python}
+"""Prints COUNT - 1 uniform draws, by SEED, from the fiber's lines."""
+import random, sys
+cnf, count, seed = sys.argv[1:]
+print("\\n".join(random.Random(int(seed)).choices({lines!r}, k=int(count) - 1)))
+'''
+
+
+def fiber_lines(spec):
+    enc = encode_fiber(spec)
+    return ["v " + " ".join(map(str, enc.encode_table(t))) + " 0" for t in enumerate_fiber(spec)]
+
+
+def script(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    path.chmod(0o755)
+    return path
+
+
+@pytest.mark.parametrize("schedule", [Alternating(1), Alternating(2)], ids=repr)
+def test_external_sampler_runs_as_its_sample_only_view_does(tmp_path, monkeypatch, schedule):
+    """A run through ``ExternalSampler``, with its calls in flight side
+    by side, records what the same run through ``sample`` alone does:
+    three calls of 8,191 draws serve the 20,000 SAT steps either way."""
+    monkeypatch.setattr(walk_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    stub = script(tmp_path, "stub.py", STUB.format(python=sys.executable, lines=fiber_lines(SPEC)))
+    run = (SPEC, U0, schedule, MOVES)
+    N = 20_000 * schedule.n
+    direct = ExternalSampler(f"{stub} {{cnf}} {{count}} {{seed}}")
+    got = run_walk(*run, direct, N, count_stat, seed=8)
+    inner = ExternalSampler(f"{stub} {{cnf}} {{count}} {{seed}}")
+    want = run_walk(*run, sample_only(inner), N, count_stat, seed=8)
+    assert not got.aborted
+    assert direct.calls == inner.calls == 3
+    assert record_digest(got) == record_digest(want)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stub.py"]
+
+
+HANGER = '''#!{python}
+"""The first batch's call {first} once another call has written its
+pid; every other call writes its pid and sleeps."""
+import os, sys, time
+cnf, count, seed = sys.argv[1:]
+if int(seed) == {seed}:
+    deadline = time.monotonic() + 20
+    while not os.listdir({pids!r}) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if {fail}:
+        sys.exit("first call fails")
+    print("\\n".join([{line!r}] * int(count)))
+    sys.exit()
+with open(os.path.join({pids!r}, str(os.getpid())), "w") as f:
+    f.write(cnf)
+time.sleep(60)
+'''
+
+
+def stat_failing_at(cells):
+    def stat(c):
+        if c == cells:
+            raise RuntimeError("statistic failed")
+        return count_stat(c)
+    return stat
+
+
+@pytest.mark.parametrize("fail", [True, False], ids=["sampler-error", "walk-error"])
+def test_an_abort_kills_the_calls_in_flight_and_removes_their_files(tmp_path, monkeypatch,
+                                                                    fail):
+    """The first batch's call fails, or its draws make the walk raise,
+    while the second call still runs: the run returns or raises only
+    after that call's process is gone and its files are removed."""
+    monkeypatch.setattr(walk_module, "_usable_cpus", lambda: 2)
+    tmp, pids = tmp_path / "tmp", tmp_path / "pids"
+    tmp.mkdir()
+    pids.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    other, line = next((t, line) for t, line in zip(enumerate_fiber(SPEC), fiber_lines(SPEC))
+                       if t.cells != U0.cells)
+    first = int(make_rng(3, 0).integers(SEED_BOUND))
+    hanger = script(tmp_path, "hanger.py", HANGER.format(
+        python=sys.executable, first="fails" if fail else "succeeds", seed=first, fail=fail,
+        line=line, pids=str(pids)))
+    sam = ExternalSampler(f"{hanger} {{cnf}} {{count}} {{seed}}")
+    run = (SPEC, U0, Alternating(1), None, sam, 20_000)
+    start = time.monotonic()
+    if fail:
+        rec = run_walk(*run, count_stat, seed=3)
+        assert rec.aborted and "first call fails" in rec.abort_reason
+    else:
+        with pytest.raises(RuntimeError, match="statistic failed"):
+            run_walk(*run, stat_failing_at(other.cells), seed=3)
+    assert time.monotonic() - start < 30
+    assert sam.calls == 2
+    [pid] = pids.iterdir()  # the second call's process, running when the first ended
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid.name), 0)
+    assert not os.path.exists(pid.read_text())  # its DIMACS file
+    assert list(tmp.iterdir()) == []
