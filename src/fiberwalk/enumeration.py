@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -243,15 +244,21 @@ def exact_p_from_enumeration(
     """Exact conditional p-value over an already-enumerated fiber.
 
     ``stat`` is evaluated on flat cell tuples, the convention shared
-    with the walker.
+    with the walker, or on blocks of rows by its ``rows`` method where
+    it has one, which must give the same bits.
     """
     enum.require_complete()
     if not len(enum):
         raise ValueError("empty fiber")
     cut = hit_cut(stat_threshold)
     weights = rho_weights(enum.cells)
-    hits = [w for c, w in zip(_rows(enum.cells), weights) if stat(c) >= cut]
-    return math.fsum(hits) / math.fsum(weights)
+    rows = getattr(stat, "rows", None)
+    if rows is None:
+        hit = (stat(c) >= cut for c in _rows(enum.cells))
+    else:
+        hit = chain.from_iterable((rows(enum.cells[a:a + _BLOCK_ROWS]) >= cut).tolist()
+                                  for a in range(0, len(enum), _BLOCK_ROWS))
+    return math.fsum(w for w, h in zip(weights, hit) if h) / math.fsum(weights)
 
 
 def exact_p_value(

@@ -126,8 +126,9 @@ class ChiSquare:
     """The statistic X(u) = sum over free cells of (u_i/n - pi_i)^2 / pi_i,
     with pi frozen at the fit to the observed table.
 
-    Callable on flat cell tuples; pure-Python accumulation because the
-    walker calls this on every newly visited table.
+    Callable on flat cell tuples, in pure Python because the walker's
+    scalar loop calls it on every newly visited table; ``rows`` takes
+    many tables at once.
     """
 
     __slots__ = ("support", "pi", "inv_pi", "n")
@@ -149,4 +150,18 @@ class ChiSquare:
         for idx, p, ip in zip(self.support, self.pi, self.inv_pi):
             diff = cells[idx] / n - p
             total += diff * diff * ip
+        return total
+
+    def rows(self, cells: np.ndarray) -> np.ndarray:
+        """The statistic of each row of a (k, d) cell array.  Each term
+        is computed as in ``__call__`` and the terms are summed column by
+        column in its order, so each value has the bits of the call on
+        that row."""
+        terms = cells.T[list(self.support)] / self.n
+        terms -= np.array(self.pi)[:, None]
+        terms *= terms
+        terms *= np.array(self.inv_pi)[:, None]
+        total = np.zeros(len(cells))
+        for term in terms:
+            total += term
         return total

@@ -91,7 +91,8 @@ class SamplerTimeoutError(SamplerError):
 
 
 class SamplerOutputError(SamplerError):
-    """The sampler's output contained no parsable solutions."""
+    """The sampler's output contained no parsable solutions, or was not
+    text in the locale's encoding."""
 
 
 class SamplerValidityError(SamplerError):
@@ -383,7 +384,11 @@ class _Call:
                     f"sampler exited with status {code}: {self.err.read().strip()[:500]}"
                 )
             self.out.seek(0)
-            solutions = _parse_solutions(self.out)
+            try:
+                solutions = _parse_solutions(self.out)
+            except UnicodeDecodeError as exc:
+                raise SamplerOutputError(f"sampler output is not text in the locale's "
+                                         f"encoding: {exc}") from exc
         finally:
             self.close()
         return self.sampler._members(self.encoding, solutions)

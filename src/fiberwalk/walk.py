@@ -27,16 +27,20 @@ keeps drawing every component keeps the walk moving, but slowly where
 D is small against the fiber.  The step fires only when the current
 table is in D, about |D| / |fiber| of the time for a uniform sampler,
 so on a fiber far larger than D it seldom does.  Alternating(1), the
-pure-SAT chain (``sat-only``), has no move steps, so it would not be
-irreducible under the pooled step and keeps the independence step: the
-draw is accepted with r(u, v) above, which is exact only for a uniform
-sampler.
+pure-SAT chain (``sat-only``), keeps the independence step: the draw is
+accepted with r(u, v) above, which is exact only for a uniform sampler.
+A pooled step at period 1 would keep rho too, as D grows, but a chain
+of pooled steps alone mixes only as fast as D covers the fiber: on a
+9,904-table no-three-way fiber with a biased sampler (3 seeds, N = 2e5)
+its p was off by 0.015-0.18 where the independence step's was off by
+0.05-0.06.
 
 Each step records whether its state is a hit: its statistic is at
 least ``hit_cut(observed)``, the observed value less a relative 1e-7
 (the rule exact enumeration uses, so ties up to rounding are hits).
-The hit flag travels with the state, so the hit cache is read only on
-acceptance; the finished record turns hits into p_i = hits/i.  The cut
+The hit flag travels with the state, so the statistic is read only on
+acceptance, through the hit cache (on lanes, through ``stat.rows`` where
+the statistic has it); the finished record turns hits into p_i = hits/i.  The cut
 is computed once per run; ``RunRecord.threshold`` keeps the observed
 value.
 
@@ -53,20 +57,42 @@ one loop per sampler batch, whose draws feed the SAT step it takes
 (see above), then the tail; MovesOnly runs all N steps in one loop,
 ParallelStarts one run per pick.
 
-The walk draws from streams (iterators).  The scheduler stream
-``make_rng(seed, 0)`` gives each sampler batch its seed and, for the
-pooled step, the ``chunk`` uniforms drawn right after that seed,
-however short the batch: its picks map its first len(batch) uniforms
-through the inverse CDF of rho on D, as ``Generator.choice`` would.
-ParallelStarts draws its sub-walk picks from that stream before its
-first batch.  A batch holds at most ``chunk`` draws and serves as many
-SAT steps; an empty one moves on to the next batch's seed.  A batch's
-seed and uniforms are fixed when it is launched, so a sampler with
-``start`` runs the calls the run will use side by side (see
-``_batches``) and the record does not depend on how many ran at once.
-Sub-walk w (1 for a single walk) draws moves, signs and acceptance
-uniforms 8,192 at a time from ``make_rng(seed, w)``: a uniform for each
-proposal in the orthant and each independence step.
+The walk draws from streams.  The scheduler stream ``make_rng(seed,
+0)`` gives each sampler batch its seed and, for the pooled step, the
+``chunk`` uniforms drawn right after that seed, however short the
+batch: its picks map its first len(batch) uniforms through the inverse
+CDF of rho on D, as ``Generator.choice`` would.  ParallelStarts draws
+its sub-walk picks from that stream before its first batch.  A batch
+holds at most ``chunk`` draws and serves as many SAT steps; an empty one
+moves on to the next batch's seed.  A batch's seed and uniforms are
+fixed when it is launched, so a sampler with ``start`` runs the calls
+the run will use side by side (see ``_batches``) and the record does not
+depend on how many ran at once.  Sub-walk w (1 for a single walk) draws
+from ``make_rng(seed, w)``: each block of 8,192 move steps draws its
+move picks, its signs and its acceptance uniforms, in that order, and
+move step t of the sub-walk uses entry t mod 8,192 of block t // 8,192,
+whether or not its proposal leaves the orthant (``_MoveDraws``).  The
+independence steps of Alternating(1) draw one uniform each, 8,192 at a
+time.  So the randomness of every move step is fixed by its index
+alone, whatever came before it.
+
+That makes the pooled schedule a set of independent runs.  A pooled
+step that fires moves to its pick whatever the current table, so it is
+a regeneration point of the chain (Mykland, Tierney & Yu 1995): given
+their start tables, the move runs between pooled steps do not depend on
+each other.  ``_Lanes`` steps the units of a batch (n - 1 move steps,
+then the pooled step on pick j) side by side as the rows of one narrow
+int array, unit 0 from the table the walk holds and unit j from pick
+j - 1, in groups of at most 2,048 units of 4-cell moves.  Then it checks which pooled steps
+fired, by exact keys of the end tables against D's, and runs each unit
+after one that did not again in the scalar loop, on the same randomness,
+from the table the walk then holds.  Every lane step sums its
+log-weight terms in the scalar loop's order and decides acceptance with
+``math.exp`` wherever ``np.exp`` could differ, so the record equals the
+one-at-a-time walk's byte for byte.  MovesOnly, ParallelStarts,
+Alternating(1), the N mod n tail, groups of fewer than 128 units, the
+runs again and walks whose log-factorials are not tabulated stay in the
+scalar loop.
 """
 
 from __future__ import annotations
@@ -106,6 +132,12 @@ __all__ = [
 
 _CHUNK = 8192
 _POOL_CAP = 65_536  # distinct tables the pooled SAT step keeps in D
+# a lane group steps at most 8,192 support cells at once (2,048 units of
+# 4-cell moves) and holds at most 65,536 move steps; a group of fewer than
+# 128 units runs in the scalar loop, which is then as fast
+_LANE_CELLS = 8192
+_LANE_STEPS = 1 << 16
+_MIN_LANES = 128
 
 
 @dataclass(frozen=True)
@@ -291,14 +323,25 @@ class _Pool:
     first: ``index`` for membership (a dict with no values, half the
     size of a set), their cells in order of arrival, their log-weights
     in one float64 array and rho restricted to D.  Past ``_POOL_CAP``
-    tables the oldest leave D as new ones join."""
+    tables the oldest leave D as new ones join.
 
-    __slots__ = ("index", "cells", "logw", "cdf")
+    Given a narrow int dtype, D also keeps its cells as the rows of one
+    array in that dtype, in order of arrival, for the lane kernel's
+    gathers, and the exact keys of those rows, sorted, for its
+    membership tests (``contains``)."""
 
-    def __init__(self):
+    __slots__ = ("index", "cells", "logw", "cdf", "rows", "powers", "keys")
+
+    def __init__(self, dtype=None, bound: int = 0, d: int = 0):
         self.index: dict[tuple[int, ...], None] = {}
         self.cells: list[tuple[int, ...]] = []
         self.logw = self.cdf = np.empty(0)
+        self.rows = None if dtype is None else np.empty((0, d), dtype)
+        # a key is the cells as the digits of one int64 in base bound + 1
+        # when every table's fits, the row's bytes otherwise
+        fits = (bound + 1) ** d < 1 << 63
+        self.powers = (bound + 1) ** np.arange(d, dtype=np.int64) if fits else None
+        self.keys = None if dtype is None else self._key(self.rows)
 
     def add(self, batch: list[Table], uniforms: np.ndarray) -> memoryview:
         """Add the batch's tables that D lacks, drop the oldest past the
@@ -314,57 +357,144 @@ class _Pool:
                 cells.append(c)
                 new.append(c)
         if new:
-            self.logw = np.concatenate((self.logw, log_rho_rows(np.array(new))))
+            new = np.array(new)
+            self.logw = np.concatenate((self.logw, log_rho_rows(new)))
+            if self.rows is not None:
+                new = new.astype(self.rows.dtype)
+                self.rows = np.concatenate((self.rows, new))
+                new = np.sort(self._key(new))
+                self.keys = np.insert(self.keys, self.keys.searchsorted(new), new)
             drop = len(cells) - _POOL_CAP
             if drop > 0:
                 for c in cells[:drop]:
                     del index[c]
                 del cells[:drop]
                 self.logw = self.logw[drop:]
+                if self.rows is not None:
+                    gone = self._key(self.rows[:drop])
+                    self.keys = np.delete(self.keys, self.keys.searchsorted(gone))
+                    self.rows = self.rows[drop:]
             self.cdf = normalized_exp(self.logw).cumsum()
             self.cdf /= self.cdf[-1]
         return memoryview(self.cdf.searchsorted(uniforms[:len(batch)], side="right"))
 
+    def _key(self, rows: np.ndarray) -> np.ndarray:
+        if self.powers is not None:
+            return rows @ self.powers
+        rows = np.ascontiguousarray(rows)
+        return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
-def _moves(rng: np.random.Generator, signed: list) -> Iterator[tuple]:
-    """Uniform move proposals: ``signed[2k + b]`` is move k's (cell,
+    def contains(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each row of a (k, d) cell array is a table of D, by a
+        binary search of its exact key among D's."""
+        keys = self._key(rows)
+        at = np.minimum(self.keys.searchsorted(keys), len(self.keys) - 1)
+        return self.keys[at] == keys
+
+
+class _MoveDraws:
+    """A sub-walk's move-step randomness.  Each block of ``_CHUNK`` move
+    steps draws its move picks, its signs and its acceptance uniforms
+    from the sub-walk's generator, in that order, and move step t of the
+    sub-walk uses entry t mod ``_CHUNK`` of block t // ``_CHUNK``,
+    whether or not its proposal leaves the orthant.  So the randomness
+    of every move step is fixed before the walk reaches it.  Index
+    2k + b of a block's moves is ``signed[2k + b]``, move k's (cell,
     delta) pairs with its deltas negated (b = 0) or as given (b = 1)."""
 
-    def chunk():
-        picks = rng.integers(0, len(signed) // 2, size=_CHUNK)
-        return map(signed.__getitem__, (2 * picks + rng.integers(0, 2, size=_CHUNK)).tolist())
+    __slots__ = ("rng", "signed", "idx", "u", "pos")
 
-    return chain.from_iterable(iter(chunk, None))
+    def __init__(self, rng: np.random.Generator, signed: list | None):
+        self.rng, self.signed = rng, signed
+        self.pos = _CHUNK  # no block drawn yet
+
+    def _piece(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next at most ``count`` move steps, up to a block's end."""
+        if self.pos == _CHUNK:
+            rng = self.rng
+            picks = rng.integers(0, len(self.signed) // 2, size=_CHUNK)
+            self.idx = 2 * picks + rng.integers(0, 2, size=_CHUNK)
+            self.u = rng.random(_CHUNK)
+            self.pos = 0
+        a = self.pos
+        self.pos = b = min(a + count, _CHUNK)
+        return self.idx[a:b], self.u[a:b]
+
+    def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The signed-move indices and uniforms of the next ``count``
+        move steps, as two arrays."""
+        parts = []
+        while count:
+            parts.append(self._piece(count))
+            count -= len(parts[-1][0])
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(column) for column in zip(*parts))
+
+    def proposals(self, idx: np.ndarray, u: np.ndarray) -> Iterator[tuple]:
+        """(signed move, uniform) of each move step of two arrays."""
+        return zip(map(self.signed.__getitem__, idx.tolist()), u.tolist())
+
+    def pairs(self, count: int) -> Iterator[tuple]:
+        """``proposals`` of the next ``count`` move steps, drawn a block
+        at a time as they are consumed."""
+
+        def pieces(count):
+            while count:
+                idx, u = self._piece(count)
+                count -= len(idx)
+                yield self.proposals(idx, u)
+
+        return chain.from_iterable(pieces(count))
 
 
 def _uniforms(rng: np.random.Generator) -> Iterator[float]:
     return chain.from_iterable(iter(lambda: rng.random(_CHUNK).tolist(), None))
 
 
+def _accepts(s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``s >= 0 or u < math.exp(s)`` lane by lane, for uniforms u in
+    [0, 1), which np.exp(min(s, 0)) = 1 accepts for s >= 0.  ``np.exp``
+    can differ from ``math.exp`` in the last bit, so a lane whose u lies
+    within 4 ulps of ``np.exp`` is decided by ``math.exp``."""
+    e = np.exp(np.minimum(s, 0.0))
+    gap = u - e
+    out = gap < 0
+    for k in np.flatnonzero(np.abs(gap) <= 4 * np.spacing(e)).tolist():
+        out[k] = s[k] >= 0 or u[k] < math.exp(s[k])
+    return out
+
+
 class _Walk:
     """One sub-walk: its cells as a mutable list and a tuple, hit flag,
-    the run's log-factorial table ``lf``, and move and uniform streams
-    drawn from the sub-walk's own generator."""
+    the run's log-factorial table ``lf``, its move steps' randomness
+    (``_MoveDraws``) and the uniforms of its independence steps, both
+    drawn from the sub-walk's own generator; a walk takes move steps or
+    independence steps, never both."""
 
-    __slots__ = ("cur", "cur_t", "hit", "lf", "moves", "unif")
+    __slots__ = ("cur", "cur_t", "hit", "lf", "draws", "unif")
 
     def __init__(self, start: Table, rng, signed: list | None, lf: list, rec: _Recorder):
         self.cur = list(start.cells)
         self.cur_t = start.cells
         self.hit = rec.hit(start.cells)
         self.lf = lf
-        self.moves = _moves(rng, signed)
+        self.draws = _MoveDraws(rng, signed)
         self.unif = _uniforms(rng)
 
     def steps(self, count: int, rec: _Recorder, period: int = 0, draws: Sequence = (),
-              pool: _Pool | None = None) -> None:
+              pool: _Pool | None = None, moves: Iterator[tuple] | None = None) -> None:
         """Advance by ``count`` steps in one frame: move proposals, and
         with a period, a SAT step at every period-th step on the next of
         ``draws``.  With a pool, a draw is a pool index, moved to when
         the current table is in D; without one, a sampler table accepted
-        with r(u, v), at period 1 only, so no move step comes between."""
+        with r(u, v), at period 1 only, so no move step comes between.
+        The move steps take their moves and uniforms from ``moves``, by
+        default the walk's own next ones."""
         cur, cur_t, hit, lf = self.cur, self.cur_t, self.hit, self.lf
-        moves, unif, exp = self.moves, self.unif, math.exp
+        unif, exp = self.unif, math.exp
+        if moves is None:
+            moves = self.draws.pairs(count - count // period if period else count)
         p, flags, counts = rec.p, rec.flags, rec.counts
         i, end = rec.i, rec.i + count
         run = period - 1 if period else count  # move steps before each SAT step
@@ -378,17 +508,16 @@ class _Walk:
             if stop > end:
                 stop = end
             if run:
-                for i, pairs in zip(range(i, stop), moves):
+                for i, (pairs, u) in zip(range(i, stop), moves):
                     s = 0.0
                     for j, dl in pairs:
                         c = cur[j]
                         nv = c + dl
                         if nv < 0:
-                            break  # off the orthant: a self-loop, no uniform drawn
+                            break  # off the orthant: a self-loop
                         s += lf[c] - lf[nv]
                     else:
                         # s >= 0 first: math.exp overflows above 709
-                        u = next(unif)
                         if s >= 0 or u < exp(s):
                             for j, dl in pairs:
                                 cur[j] += dl
@@ -424,6 +553,138 @@ class _Walk:
             i = stop + 1
         rec.i = end
         self.cur, self.cur_t, self.hit = cur, cur_t, hit
+
+    def pooled(self, rec: _Recorder, picks: memoryview, period: int, pool: _Pool,
+               lanes: "_Lanes | None") -> None:
+        """The units of a pooled batch, period - 1 move steps then the
+        pooled step on pick j for unit j: groups of ``lanes.group`` units
+        side by side, and a group smaller than ``_MIN_LANES`` (or every
+        unit, without lanes) in the scalar loop."""
+        group = lanes.group if lanes is not None else len(picks)
+        for a in range(0, len(picks), group):
+            part = picks[a:a + group]
+            if lanes is not None and len(part) >= _MIN_LANES:
+                lanes.run(self, rec, np.asarray(part), period, pool)
+            else:
+                self.steps(len(part) * period, rec, period, part, pool)
+
+
+class _Lanes:
+    """The move runs of a pooled batch stepped side by side.
+
+    A pooled step that fires moves to a table drawn from rho on D
+    whatever the current table, so given their start tables the units of
+    a batch run independently.  ``run`` steps unit j as lane j of one
+    (units, d) array: unit 0 from the table the walk holds, unit j > 0
+    from pick j - 1, where the pooled step before it leaves the walk if
+    it fires.  It then checks which pooled steps fired (unit j's end is
+    in D) and runs again, in the scalar loop on the same randomness, each
+    unit after one that did not, from the table the walk then holds.
+
+    A lane step gathers each lane's move support, padded to a zero
+    column d with delta 0, so that the log-weight difference sums its
+    terms in the scalar loop's order and has its bits.  Hits come from
+    ``stat.rows`` where the statistic has it, and from the hit cache
+    otherwise."""
+
+    __slots__ = ("sup", "dl", "lf", "d", "dtype", "group", "stat_rows")
+
+    def __init__(self, signed: list, lf: list, d: int, dtype, period: int, stat):
+        width = max(map(len, signed))
+        self.sup = np.full((width, len(signed)), d, dtype=np.intp)
+        self.dl = np.zeros((width, len(signed)), dtype=dtype)
+        for k, pairs in enumerate(signed):
+            self.sup[:len(pairs), k], self.dl[:len(pairs), k] = zip(*pairs)
+        self.lf = np.array(lf)
+        self.d, self.dtype = d, dtype
+        self.group = max(1, min(_LANE_CELLS // width, _LANE_STEPS // (period - 1)))
+        self.stat_rows = getattr(stat, "rows", None)
+
+    def hits(self, rec: _Recorder, rows: np.ndarray) -> np.ndarray:
+        """The hit flag (0.0 or 1.0) of each row of a cell array."""
+        if self.stat_rows is not None:
+            return (self.stat_rows(rows) >= rec.cut).astype(np.float64)
+        return np.array([rec.hit(c) for c in map(tuple, rows.tolist())])
+
+    def run(self, walk: _Walk, rec: _Recorder, picks: np.ndarray, period: int,
+            pool: _Pool) -> None:
+        units, moves, d = len(picks), period - 1, self.d
+        idx, unif = walk.draws.take(units * moves)
+        idx, unif = idx.reshape(units, moves), unif.reshape(units, moves)
+        start_rows = pool.rows[picks]
+        start_hits = self.hits(rec, start_rows)  # pick j's, which unit j + 1 starts from
+        x = np.zeros((units, d + 1), dtype=self.dtype)  # column d stays 0
+        x[0, :d] = walk.cur
+        x[1:, :d] = start_rows[:-1]
+        hit = np.empty(units)
+        hit[0] = walk.hit
+        hit[1:] = start_hits[:-1]
+        base = rec.i
+        p = rec.p_seq[base:base + units * period].reshape(units, period)
+        acc = rec.acc[base:base + units * period].reshape(units, period)
+        # by support column, move step and lane: the flat position in x of
+        # each move step's support cell, and its delta
+        where = self.sup[:, idx.T]
+        where += np.arange(0, units * (d + 1), d + 1)
+        deltas = self.dl[:, idx.T]
+        unif = unif.T.copy()
+        xf = x.reshape(-1)
+        seen = None if rec.counts is None else np.empty((units, moves, d), self.dtype)
+        for t in range(moves):
+            cells = where[:, t]
+            old = xf[cells]
+            new = old + deltas[:, t]
+            # a lane off the orthant indexes lf from its end; its s is unused
+            terms = np.take(self.lf, old)
+            terms -= np.take(self.lf, new)
+            s = np.zeros(units)
+            for term in terms:
+                s += term
+            moved = np.flatnonzero(new.min(axis=0) >= 0)
+            moved = moved[_accepts(s[moved], unif[t, moved])]
+            xf[cells[:, moved]] = new[:, moved]
+            if len(moved):
+                hit[moved] = self.hits(rec, x[moved, :d])
+            p[:, t] = hit
+            acc[moved, t] = True
+            if seen is not None:
+                seen[:, t] = x[:, :d]
+        ends = x[:, :d]
+        fired = pool.contains(ends)
+        p[:, moves] = np.where(fired, start_hits, hit)
+        acc[:, moves] = fired
+        # repair: each unit after a pooled step that did not fire runs
+        # again from the table the walk holds
+        misses = np.flatnonzero(~fired)
+        valid = np.ones(units, dtype=np.bool_)  # the unit's lane started where the walk was
+        j = 0
+        while True:
+            m = misses.searchsorted(j)
+            if m == len(misses):  # every pooled step from unit j on fired
+                walk.cur_t = pool.cells[picks[-1]]
+                walk.cur, walk.hit = list(walk.cur_t), float(start_hits[-1])
+                break
+            k = misses[m]
+            walk.cur = ends[k].tolist()
+            walk.cur_t, walk.hit = tuple(walk.cur), float(hit[k])
+            for j in range(k + 1, units):
+                valid[j] = False
+                acc[j] = False
+                rec.i = base + j * period
+                walk.steps(period, rec, period, picks[j:j + 1].tolist(), pool,
+                           walk.draws.proposals(idx[j], unif[:, j]))
+                if acc[j, moves]:  # fired: unit j + 1's lane started from pick j
+                    j += 1
+                    break
+            else:
+                break
+        rec.i = base + units * period
+        if seen is not None:
+            visits = np.concatenate((seen[valid].reshape(-1, d),
+                                     np.where(fired[:, None], start_rows, ends)[valid]))
+            tables, times = np.unique(visits, axis=0, return_counts=True)
+            for c, n in zip(map(tuple, tables.tolist()), times.tolist()):
+                rec.counts[c] = rec.counts.get(c, 0) + n
 
 
 def _signed_moves(moves: MoveSet, spec: FiberSpec) -> list:
@@ -468,7 +729,8 @@ def run_walk(
         raise ValueError("this schedule needs a non-empty move set")
     signed = _signed_moves(moves, spec) if moving else None
     # a support cell may pass the bound before a later one goes negative
-    top = cell_value_bound(spec) + max((dl for mv in signed or () for _, dl in mv), default=0)
+    bound = cell_value_bound(spec)
+    top = bound + max((dl for mv in signed or () for _, dl in mv), default=0)
     # tabulate only when that costs no more than the walk's own steps
     lf = ([math.lgamma(c + 1) for c in range(top + 1)] if top <= max(N, 1 << 16)
           else _LogFactorials())
@@ -500,7 +762,14 @@ def run_walk(
             return _finish(rec, spec, u_obs, [w.cur_t for w in walks], 0, k, None)
 
         walk = _Walk(u_obs, make_rng(seed, 1), signed, lf, rec)
-        pool = _Pool() if period > 1 else None
+        pool = lanes = None
+        if period > 1 and isinstance(lf, list):  # tabulated, so the cells fit int64
+            dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                         if top <= np.iinfo(t).max)
+            pool = _Pool(dtype, bound, spec.d)
+            lanes = _Lanes(signed, lf, spec.d, dtype, period, stat)
+        elif period > 1:
+            pool = _Pool()
         reason = None
         try:
             left = N // period if period else 0
@@ -513,7 +782,10 @@ def run_walk(
                 if pool is not None:
                     draws = pool.add(draws, uniforms)
                 draws = draws[:left]
-                walk.steps(len(draws) * period, rec, period, draws, pool)
+                if pool is not None:
+                    walk.pooled(rec, draws, period, pool, lanes)
+                else:  # Alternating(1): independence steps alone
+                    walk.steps(len(draws), rec, 1, draws)
                 left -= len(draws)
             walk.steps(N % period if period else N, rec)
         except SamplerError as exc:

@@ -408,12 +408,13 @@ GOLDEN_EXPORTS = {
         "[schedule]\nkind = parallel-starts\nperiod = 5\nwalks = 3\n"
         "[sampler]\nkind = internal-biased\nbias_strength = 0.5\n"
         "[moves]\nsource = cycle\n",
+        # final p 0.1325, 0.2675, 1.0 against exact p 0.1833, 0.3240, 1.0
         {
-            "plot.svg": "a9a353ae50fa2a9afa66f0450e348c048f44a44d4f2ffef6b3093706f4c2bf7e",
-            "run_001.csv": "379a84b9ae5683a127ee7c4db86002001e1cdf75876a2ba47004d5bbac3dda68",
-            "run_002.csv": "868bd3e51f471c1809fd4b236011a5941afc02d48b3ff48194064cb9da126fea",
+            "plot.svg": "e6cf5aa24921cdee8608cf76d3c83ad37a26ab30c9095b1c8a11b0ec7831a8f2",
+            "run_001.csv": "1ba8a2e6a13c4f9de4599dfa4d389892f53e039271d018eb59841c35fe7925b1",
+            "run_002.csv": "edc9883825e3fcf7773fbdf98394b37e66c9ea9661259dbaad10291cd6371c8f",
             "run_003.csv": "8116cca06607104e9e604b13eed96da11426709558e3d886ee128b4465e6b938",
-            "summary.csv": "28fca2084b6539122fd53d42010091bf9ca7d854928c705607a4e8679dd9a133",
+            "summary.csv": "54b1de3123d95a77d526db89d0a6d7944f925025319f744167bdcfb234999c6c",
         },
     ),
     "n3f-sat-only": (

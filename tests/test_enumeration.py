@@ -469,6 +469,26 @@ def test_exact_p_and_size_build_no_tables(monkeypatch):
     assert "elements" not in vars(enum)
 
 
+@pytest.mark.parametrize("name", sorted(ORDER_FIBERS) + ["independence-4x4-n20"])
+def test_exact_p_with_the_array_statistic_keeps_its_bytes(name):
+    """``ChiSquare.rows`` in blocks gives the p-value of the per-tuple
+    calls bit for bit, structural zeros included; the 4x4 fiber (8,860
+    elements) spans several blocks."""
+    if name == "independence-4x4-n20":
+        model, cells, shape = (Independence((4, 4)),
+                               (8, 1, 0, 0, 0, 4, 1, 0, 0, 0, 3, 1, 0, 0, 0, 2), (4, 4))
+    else:
+        model, cells, shape = ORDER_FIBERS[name]
+    spec = spec_of(model, cells, shape)
+    u = Table(tuple(cells), shape)
+    stat = ChiSquare(fit_loglinear(spec.matrix, u, zeros=spec.structural_zeros).pi, u.n,
+                     spec.structural_zeros)
+    enum = enumerate_fiber(spec)
+    threshold = stat(u.cells)
+    assert exact_p_from_enumeration(enum, threshold, stat) == \
+        exact_p_from_enumeration(enum, threshold, lambda c: stat(c))
+
+
 def rational_exact_p(spec, u):
     """Exact p-value of a two-way independence table in rational
     arithmetic, from the closed-form MLE pi_ij = r_i c_j / n^2.

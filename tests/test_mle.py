@@ -104,6 +104,25 @@ def test_chi_square_matches_array_formula():
     assert ChiSquare(pi, u.n)(u.cells) == pytest.approx(want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([np.int8, np.int16, np.int64]), st.data())
+def test_chi_square_rows_have_the_bits_of_the_call(dtype, data):
+    """Row by row, with and without structural zeros (whose cells the
+    statistic skips, whatever they hold), in every cell dtype."""
+    d = data.draw(st.integers(1, 12))
+    zeros = data.draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+    weights = data.draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d))
+    pi = np.array([0.0 if j in zeros else w for j, w in enumerate(weights)])
+    pi /= pi.sum()
+    n = data.draw(st.integers(1, 120))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 120), min_size=d, max_size=d),
+                              min_size=1, max_size=6))
+    stat = ChiSquare(pi, n, zeros=sorted(zeros))
+    got = stat.rows(np.array(rows, dtype=dtype))
+    assert got.dtype == np.float64
+    assert got.tolist() == [stat(tuple(r)) for r in rows]
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     st.tuples(

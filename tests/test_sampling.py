@@ -36,7 +36,7 @@ from fiberwalk.sampling import (
     build_sampler,
     make_rng,
 )
-from fiberwalk.walk import empirical_tv
+from fiberwalk.walk import Alternating, empirical_tv, run_walk
 
 SPEC = fiber_spec_from_observation(Independence((2, 2)), Table((1, 1, 1, 1), (2, 2)))
 FIBER = list(enumerate_fiber(SPEC))  # 3 elements
@@ -291,6 +291,21 @@ def test_external_sampler_empty_output(tmp_path):
     script.chmod(0o755)
     with pytest.raises(SamplerOutputError, match="no valid samples"):
         ExternalSampler(str(script) + " {cnf} {count} {seed}").sample(enc, 1, 1)
+
+
+def test_output_that_is_not_text_is_an_output_error(tmp_path):
+    """A byte invalid in the locale's encoding (0xff in UTF-8) is a typed
+    sampler error, so a walk on the sampler aborts with a record."""
+    enc = encode_fiber(SPEC)
+    script = tmp_path / "badbytes.sh"
+    script.write_text("#!/bin/sh\nprintf 'v 1 2 \\377 0\\n'\n")
+    script.chmod(0o755)
+    sampler = ExternalSampler(str(script) + " {cnf}")
+    with pytest.raises(SamplerOutputError):
+        sampler.sample(enc, 1, 1)
+    rec = run_walk(SPEC, FIBER[0], Alternating(1), None, sampler, 10, lambda c: float(c[0]),
+                   seed=1)
+    assert rec.aborted and rec.steps == 0
 
 
 def test_external_sampler_all_invalid(tmp_path):

@@ -38,7 +38,9 @@ from fiberwalk.models import (
     fiber_spec_from_observation,
     unflatten_index,
 )
-from fiberwalk.moves import basic_moves_n3f, basic_moves_two_way, cycle_moves, load_basis
+from fiberwalk.moves import (
+    basic_moves_n3f, basic_moves_two_way, cycle_moves, load_basis, n3f_basis,
+)
 from fiberwalk.sampling import (
     SEED_BOUND,
     ExternalSampler,
@@ -322,18 +324,18 @@ def _golden_run(case, walker=run_walk):
 
 
 GOLDEN_RECORDS = {
-    # aborts at SAT step 66, on the sampler's fourth call: 65 steps, p 57/65
+    # aborts at SAT step 66, on the sampler's fourth call: 65 steps, p 65/65
     # (the alternating runs' p is after 3,000 steps; exact p by enumeration)
-    "abort-alternating-3/fail-after-3": "b5545f4b124b397aaf46130a25fee9aea10f96f3b5f0d573805634b644946deb",
+    "abort-alternating-3/fail-after-3": "27774c5e9033870394b25e1e9e9a2802094b3845685c302db4f1f794573b4707",
     "abort-parallel-7-5/fail-at-once": "16e19c80b2b6d5e96f414a12560c8b5e787fd6c01c45d1af5e62707146e1de7c",
-    "alternating-10/biased": "d2801d04368ced5e233912e480e3de49d22352b946205ae7ee4a2962a2063793",  # p 0.8763, exact 0.8714
-    "alternating-10/uniform": "45c63cabdd9356bc533e98f3b74aedd69531904d68fcde40a1e489b7919e30fb",  # p 0.8923, exact 0.8714
-    "alternating-3/biased": "46697833a62ee1d690036c6a2ba8ffa6e2739f249cef50b8ebaef23e31c9acc1",  # p 0.8820, exact 0.8714
-    "alternating-3/uniform": "57ff6dae35a40e8aae0ba4ab966d623d0b0bdbc0a34fcf9b7294f2c43445f38e",  # p 0.8747, exact 0.8714
-    "moves-only/uniform": "5dfafe237c7526c3e6d032566f04c28017986a76fce14ebbb83d0309aa3df8b5",
-    "n3f-alternating-2/uniform": "4ffbe4742d587ffc955fbb6b0af9b0caa1bdc75fd4d7842da96277371375177a",  # p 0.3080, exact 0.3184
-    "parallel-7-5/biased": "17579e5f1f9a651d5a6bc8c63f40b065de44a318dfa585fb674d485b1059dd57",
-    "parallel-7-5/uniform": "6822cc30ccf7dd8b9a0792880a6303e33cc12b56825fba1d35a3a7b43acc5564",
+    "alternating-10/biased": "1e778a044527fd38c99f887e6920af76f58eae2a88eea59caa6100532b09e2b1",  # p 0.8803, exact 0.8714
+    "alternating-10/uniform": "a08a770492c9d1fec14513f580bf923c7ba07ea78d61be185eb0c6d05aa46ccb",  # p 0.8900, exact 0.8714
+    "alternating-3/biased": "8ea3285927c05c8081a9889345b94344caf7ec8396abf18c318775a6b5651f02",  # p 0.8853, exact 0.8714
+    "alternating-3/uniform": "16ba7e31067b5e209551aa860a7d130f57a65e21d7344341bf62b112debbf10d",  # p 0.8727, exact 0.8714
+    "moves-only/uniform": "156187cd522d6555d2cf1d75e908274c2a46805ab766a6650bcc6906cbb995f6",
+    "n3f-alternating-2/uniform": "d19d144000b72b939f051e37371f72cf2129867aa7b84218f3fdd270970ecfad",  # p 0.3050, exact 0.3184
+    "parallel-7-5/biased": "a513ed653e6a02d59d747ef807b2206929e1f136536509875025701434d5d0c1",
+    "parallel-7-5/uniform": "6b71d0bbeafb7d96f950bf1c9b4fa33f6424705ee9309aa072d04f85d62e0b07",
     "sat-only/biased": "34427a2374c131129eb5d35546e72f8737b4e56e7f048d9adc72faf7578e79b1",
     "sat-only/uniform": "5f11daaa3f5b9e154c1f9f5bb591c519a2a3bbf0590bd24b8b340cf4846d38d9",
 }
@@ -414,12 +416,15 @@ def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_s
                 yield cells[k]
 
     def move_stream(rng):
+        """Blocks of 8,192 move steps, each drawing its picks, its signs
+        and its uniforms in that order: one uniform per move step."""
         while True:
             picks = rng.integers(0, len(moves), size=8192).tolist()
             signs = rng.integers(0, 2, size=8192).tolist()
-            for k, b in zip(picks, signs):
+            unif = rng.random(8192).tolist()
+            for k, b, u in zip(picks, signs, unif):
                 mv = moves[k]
-                yield mv.support, tuple(dl if b else -dl for dl in mv.deltas)
+                yield mv.support, tuple(dl if b else -dl for dl in mv.deltas), u
 
     def uniform_stream(rng):
         while True:
@@ -436,18 +441,18 @@ def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_s
             self.unif = uniform_stream(rng)
 
         def move_step(self):
-            support, deltas = next(self.moves)
+            support, deltas, u = next(self.moves)
             new = list(self.cur)
             for j, dl in zip(support, deltas):
                 new[j] += dl
                 if new[j] < 0:
-                    return False  # a self-loop that draws no uniform
+                    return False  # a self-loop, its uniform unused
             s = sum(lg(self.cur[j] + 1) - lg(new[j] + 1) for j in support)
-            return self.accept(s, new, self.logw + s)
+            return self.accept(s, u, new, self.logw + s)
 
         def sat_step(self, proposal):
             lw = -sum(lg(c + 1) for c in proposal.cells)
-            return self.accept(lw - self.logw, list(proposal.cells), lw)
+            return self.accept(lw - self.logw, next(self.unif), list(proposal.cells), lw)
 
         def pool_step(self, cells):
             if tuple(self.cur) not in pool:
@@ -456,8 +461,7 @@ def reference_walk(spec, u_obs, schedule, moves, sampler, N, stat, seed, count_s
             self.logw = pool[cells]
             return True
 
-        def accept(self, s, new, logw):
-            u = next(self.unif)
+        def accept(self, s, u, new, logw):
             if s >= 0 or u < math.exp(s):
                 self.cur, self.logw = new, logw
                 return True
@@ -647,6 +651,132 @@ def test_short_walk_on_a_large_table_costs_what_its_steps_cost():
     assert elapsed < 0.5
     assert peak < 2_000_000
     assert_same_record(rec, reference_walk(*walk, seed=3))
+
+
+# -- the lane kernel: pooled batches stepped side by side, byte for byte
+
+
+class OneTableSampler:
+    """Every draw is one table, so D holds it alone and a pooled step
+    fires only when the walk stands on it."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def sample(self, encoding, count, seed):
+        return [self.table] * count
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    two_way_fibers(),
+    st.integers(2, 6),
+    st.integers(1, 300),
+    st.booleans(),
+    st.sampled_from(["uniform", "one-table", "short", "fail"]),
+    st.sampled_from([1, 3, 65_536]),
+    st.sampled_from([1, 8, 30, 8192]),
+    st.sampled_from([weighted_squares, "chi-square"]),
+    st.integers(0, 10**6),
+)
+def test_lanes_match_the_reference_walker(fiber, period, N, count_states, source, cap, cells,
+                                          stat, seed):
+    """With every batch on lanes (groups of ``cells`` support cells a
+    step, so from 1 unit up to the whole batch), the record
+    equals the per-step walker's: when most pooled steps do not fire (D
+    of 1 or 3 tables, or a sampler of one table), on short batches and
+    on aborts, with state counts, and with hits from the hit cache or
+    from ``ChiSquare.rows``."""
+    spec, u, moves = fiber
+    if stat == "chi-square":  # on fixed positive probabilities: small tables may have no MLE
+        w = np.array([0.0 if j in spec.zero_set() else 1.0 + 0.35 * j for j in range(spec.d)])
+        stat = ChiSquare(w / w.sum(), max(u.n, 1), spec.structural_zeros)
+
+    def sampler():
+        return {"uniform": InternalUniformSampler, "one-table": lambda: OneTableSampler(u),
+                "short": lambda: FailingSampler(per_call=5, calls=10**9),
+                "fail": lambda: FailingSampler(per_call=4, calls=2)}[source]()
+
+    run = (spec, u, Alternating(period), moves)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walk_module, "_MIN_LANES", 1)
+        mp.setattr(walk_module, "_LANE_CELLS", cells)
+        mp.setattr(walk_module, "_POOL_CAP", cap)
+        got = run_walk(*run, sampler(), N, stat, seed, count_states=count_states)
+        want = reference_walk(*run, sampler(), N, stat, seed, count_states=count_states)
+    assert_same_record(got, want)
+
+
+@pytest.mark.parametrize("basis", ["basic", "markov"])
+@pytest.mark.parametrize("period", [2, 5])
+def test_lanes_on_n3f_supports_of_8_and_12_cells(basis, period):
+    """The n3f basic moves touch 8 cells and the Markov basis 8 or 12, so
+    lanes pad supports to a zero column; the records and state counts
+    still equal the per-step walker's."""
+    u = Table((1, 0, 2, 1, 1, 0, 0, 1, 1, 2, 0, 1, 0, 1, 1, 1, 0, 0,
+               0, 2, 0, 1, 0, 1, 1, 0, 1), (3, 3, 3))
+    spec = fiber_spec_from_observation(NoThreeWay(3), u)
+    moves = basic_moves_n3f(3) if basis == "basic" else n3f_basis(3)
+    assert {len(mv.support) for mv in moves} == ({8} if basis == "basic" else {8, 12})
+    stat = ChiSquare(fit_loglinear(spec.matrix, u).pi, u.n)
+    run = (spec, u, Alternating(period), moves, InternalUniformSampler(), 4000, stat)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walk_module, "_MIN_LANES", 1)
+        got = run_walk(*run, seed=8, count_states=True)
+        want = reference_walk(*run, seed=8, count_states=True)
+    assert_same_record(got, want)
+
+
+def test_long_pooled_runs_take_the_lanes_and_keep_the_scalar_record(monkeypatch):
+    """At the default sizes a 20,000-step Alternating(10) run steps its
+    batches on lanes, and its record equals the scalar loop's."""
+    u = Table((8, 1, 0, 0, 0, 4, 1, 0, 0, 0, 3, 1, 0, 0, 0, 2), (4, 4))
+    spec = fiber_spec_from_observation(Independence((4, 4)), u)
+    stat = ChiSquare(fit_loglinear(spec.matrix, u).pi, u.n)
+    run = (spec, u, Alternating(10), basic_moves_two_way((4, 4)), InternalUniformSampler(),
+           20_000, stat, 3)
+    groups = []
+    lane_run = walk_module._Lanes.run
+    monkeypatch.setattr(walk_module._Lanes, "run",
+                        lambda self, *a: groups.append(len(a[2])) or lane_run(self, *a))
+    got = run_walk(*run, count_states=True)
+    assert sum(groups) == 2000 and min(groups) >= walk_module._MIN_LANES
+    monkeypatch.setattr(walk_module, "_MIN_LANES", 10**9)
+    assert_same_record(got, run_walk(*run, count_states=True))
+
+
+def _exp_neighbours(s):
+    """u = exp(s) by ``math.exp`` and ``np.exp`` and their two nearest
+    floats on each side, within [0, 1)."""
+    us = set()
+    for e in (math.exp(min(s, 0.0)), float(np.exp(min(s, 0.0)))):
+        for u in (e, math.nextafter(e, 0), math.nextafter(math.nextafter(e, 0), 0),
+                  math.nextafter(e, 2), math.nextafter(math.nextafter(e, 2), 2), 0.0):
+            if 0.0 <= u < 1.0:
+                us.add(u)
+    return sorted(us)
+
+
+@pytest.mark.parametrize("s", [-745.2, -745.0, -744.0, -720.0, -708.4, -30.0, -3.7, -1.0,
+                               -0.5, -1e-12, -1e-300, 0.0, 3.0, 800.0])
+def test_lane_acceptance_at_exp_s_and_its_neighbours(s):
+    """``_accepts`` decides ``s >= 0 or u < math.exp(s)`` bit for bit at
+    u = exp(s) and its neighbours, down to the subnormal range."""
+    us = _exp_neighbours(s)
+    got = walk_module._accepts(np.full(len(us), s), np.array(us))
+    assert got.tolist() == [s >= 0 or u < math.exp(s) for u in us]
+
+
+def test_lane_acceptance_where_numpy_and_math_exp_differ():
+    """Where ``np.exp`` and ``math.exp`` differ in the last bit, a
+    uniform between them is decided by ``math.exp``."""
+    s = -30 * np.random.default_rng(0).random(4000)
+    differ = [v for v in s.tolist() if float(np.exp(v)) != math.exp(v)]
+    assert len(differ) > 20
+    for v in differ[:200]:
+        us = _exp_neighbours(v)
+        got = walk_module._accepts(np.full(len(us), v), np.array(us))
+        assert got.tolist() == [u < math.exp(v) for u in us]
 
 
 # -- the pooled SAT step: exact kernels, the cap on D, and |D| on the record
