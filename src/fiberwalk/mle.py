@@ -157,7 +157,8 @@ class ChiSquare:
         is computed as in ``__call__`` and the terms are summed column by
         column in its order, so each value has the bits of the call on
         that row."""
-        terms = cells.T[list(self.support)] / self.n
+        # float64 also for Python ints past int64, divided as the call divides
+        terms = (cells.T[list(self.support)] / self.n).astype(np.float64, copy=False)
         terms -= np.array(self.pi)[:, None]
         terms *= terms
         terms *= np.array(self.inv_pi)[:, None]

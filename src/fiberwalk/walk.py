@@ -555,7 +555,7 @@ class _Walk:
         self.cur, self.cur_t, self.hit = cur, cur_t, hit
 
     def pooled(self, rec: _Recorder, picks: memoryview, period: int, pool: _Pool,
-               lanes: "_Lanes | None") -> None:
+               lanes: _Lanes | None) -> None:
         """The units of a pooled batch, period - 1 move steps then the
         pooled step on pick j for unit j: groups of ``lanes.group`` units
         side by side, and a group smaller than ``_MIN_LANES`` (or every

@@ -123,6 +123,15 @@ def test_chi_square_rows_have_the_bits_of_the_call(dtype, data):
     assert got.tolist() == [stat(tuple(r)) for r in rows]
 
 
+def test_chi_square_rows_past_int64_have_the_bits_of_the_call():
+    """Cells past int64 arrive as an object array of Python ints, which
+    ``rows`` divides as the call does."""
+    n = 4 * 10**19
+    rows = [(10**19, 2 * 10**19 + 1, 10**19 - 7, 0), (1, 2, 3, n - 6)]
+    stat = ChiSquare(np.array([0.1, 0.2, 0.3, 0.4]), n)
+    assert stat.rows(np.array(rows, dtype=object)).tolist() == [stat(r) for r in rows]
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     st.tuples(
