@@ -39,10 +39,10 @@ Each step records whether its state is a hit: its statistic is at
 least ``hit_cut(observed)``, the observed value less a relative 1e-7
 (the rule exact enumeration uses, so ties up to rounding are hits).
 The hit flag travels with the state, so the statistic is read only on
-acceptance, through the hit cache (on lanes, through ``stat.rows`` where
-the statistic has it); the finished record turns hits into p_i = hits/i.  The cut
-is computed once per run; ``RunRecord.threshold`` keeps the observed
-value.
+acceptance, through the hit cache (on lanes, through ``stat.rows``
+where the statistic has it); the finished record turns hits into
+p_i = hits/i.  The cut is computed once per run;
+``RunRecord.threshold`` keeps the observed value.
 
 Schedules: MovesOnly, Alternating(n) (step t is a SAT-step iff
 t mod n = 0; ``sat-only`` is Alternating(1)) and ParallelStarts(n, k)
@@ -83,10 +83,11 @@ their start tables, the move runs between pooled steps do not depend on
 each other.  ``_Lanes`` steps the units of a batch (n - 1 move steps,
 then the pooled step on pick j) side by side as the rows of one narrow
 int array, unit 0 from the table the walk holds and unit j from pick
-j - 1, in groups of at most 2,048 units of 4-cell moves.  Then it checks which pooled steps
-fired, by exact keys of the end tables against D's, and runs each unit
-after one that did not again in the scalar loop, on the same randomness,
-from the table the walk then holds.  Every lane step sums its
+j - 1, in groups of at most 2,048 units of 4-cell moves.  Then it
+checks which pooled steps fired, by exact keys of the end tables
+against D's, and runs each unit after one that did not again in the
+scalar loop, on the same randomness, from the table the walk then
+holds.  Every lane step sums its
 log-weight terms in the scalar loop's order and decides acceptance with
 ``math.exp`` wherever ``np.exp`` could differ, so the record equals the
 one-at-a-time walk's byte for byte.  MovesOnly, ParallelStarts,
