@@ -47,8 +47,7 @@ _EXPORTS = {
     "mle": ("ChiSquare", "FitResult", "fit_loglinear", "independence_fitted"),
     "walk": (
         "Alternating", "MovesOnly", "ParallelStarts", "RunRecord",
-        "connected_components_under_moves", "empirical_tv", "make_schedule", "rho_distribution",
-        "run_walk",
+        "connected_components_under_moves", "empirical_tv", "make_schedule", "run_walk",
     ),
     "bench": (
         "BenchRun", "ExperimentConfig", "convergence_step", "export_results",

@@ -15,6 +15,14 @@ aborting, keeping the first ``cap`` elements in that order; operations
 that need the whole fiber (exact p-values, sizes) refuse incomplete
 enumerations explicitly.
 
+``enumerate_fiber`` is the one owner of a fiber's enumeration: it
+answers from the last enumeration of an equal spec when that one is
+complete or cut at the cap or past it (its first ``cap`` elements,
+marked incomplete when it has more), and searches otherwise, so each
+answer equals a fresh search.  The hold is weak, so that a finished
+test's fiber is freed before the next test runs rather than raising
+the peak memory; held cells are read-only, as callers share them.
+
 A fiber element is a hit when its statistic is at least
 ``hit_cut(observed)``, the observed value less a relative 1e-7 (the
 tolerance R's ``fisher.test`` uses): tables whose statistic equals the
@@ -30,6 +38,7 @@ the CNF encoder and the walker.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -102,6 +111,14 @@ class FiberEnumeration:
             )
         return self
 
+    def rho(self) -> dict[tuple[int, ...], float]:
+        """rho(v) = (1/prod v_i!) / Z of each element of the complete fiber."""
+        if not len(self.require_complete()):
+            raise ValueError("empty fiber")
+        ws = rho_weights(self.cells)
+        z = sum(ws)
+        return {c: w / z for c, w in zip(_rows(self.cells), ws)}
+
 
 def fiber_blocks(spec: FiberSpec) -> Iterator[np.ndarray]:
     """Fiber elements as (k, d) blocks of rows, in lexicographic order of
@@ -172,26 +189,45 @@ def _check_cap(cap: int) -> None:
         raise ValueError(f"cap must be >= 0, got {cap}")
 
 
+# the last enumeration of each spec, while a caller keeps it
+_held: "weakref.WeakValueDictionary[FiberSpec, FiberEnumeration]" = weakref.WeakValueDictionary()
+
+
+def _covering(spec: FiberSpec, cap: int) -> FiberEnumeration | None:
+    """The held enumeration of ``spec`` if complete or cut at ``cap`` or past it."""
+    held = _held.get(spec)
+    return held if held is not None and (held.complete or held.cap >= cap) else None
+
+
 def enumerate_fiber(spec: FiberSpec, cap: int = DEFAULT_CAP) -> FiberEnumeration:
     """Enumerate up to ``cap`` fiber elements; marks the result
     incomplete (rather than raising) when more exist."""
     _check_cap(cap)
-    blocks, found = [np.zeros((0, spec.d), np.int8)], 0
-    for block in fiber_blocks(spec):
-        blocks.append(block)
-        found += len(block)
-        if found > cap:
-            break
-    return FiberEnumeration(np.concatenate(blocks)[:cap], spec.shape, found <= cap, cap)
+    held = _covering(spec, cap)
+    if held is None:
+        blocks, found = [np.zeros((0, spec.d), np.int8)], 0
+        for block in fiber_blocks(spec):
+            blocks.append(block)
+            found += len(block)
+            if found > cap:
+                break
+        cells = np.concatenate(blocks)[:cap]
+        cells.flags.writeable = False
+        held = _held[spec] = FiberEnumeration(cells, spec.shape, found <= cap, cap)
+    # an incomplete enumeration holds exactly its cap of elements
+    return held if len(held) <= cap else FiberEnumeration(held.cells[:cap], spec.shape, False, cap)
 
 
 def fiber_size(spec: FiberSpec, cap: int = DEFAULT_CAP) -> int:
     """Exact number of fiber elements; raises :class:`FiberTooLarge`
     past the cap."""
     _check_cap(cap)
+    held = _covering(spec, cap)
+    # an incomplete enumeration counts one element past its cap
+    sizes = map(len, fiber_blocks(spec)) if held is None else [len(held) + (not held.complete)]
     count = 0
-    for block in fiber_blocks(spec):
-        count += len(block)
+    for size in sizes:
+        count += size
         if count > cap:
             raise FiberTooLarge(f"fiber exceeds cap of {cap} elements")
     return count

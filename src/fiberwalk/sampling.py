@@ -427,30 +427,28 @@ def _wait(proc: subprocess.Popen, timeout: float | None) -> int:
 
 @dataclass
 class _EnumeratingSampler:
-    """Enumerates each fiber once, caches its elements with their draw
-    law (None for uniform), and draws element indices from that law.
-    Draws reference the cached tables rather than copying them.
-    Fibers past ``FULL_FIBER_CAP`` elements raise FiberTooLarge."""
+    """Draws element indices of the enumerated fiber from a law (None
+    for uniform).  Keeps the enumeration it draws from, so it stays
+    held, with its law and its tables; draws reference those tables
+    rather than copying them.  Fibers past ``FULL_FIBER_CAP`` elements
+    raise FiberTooLarge."""
 
-    _cache: dict[FiberSpec, tuple[tuple[Table, ...], np.ndarray | None]] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    _fiber: tuple = field(default=(None, None, None), init=False, repr=False)
 
     def _law(self, spec: FiberSpec, cells: np.ndarray) -> np.ndarray | None:
         return None
 
-    def _dist(self, spec: FiberSpec) -> tuple[tuple[Table, ...], np.ndarray | None]:
-        if spec not in self._cache:
-            enum = enumerate_fiber(spec, cap=FULL_FIBER_CAP).require_complete()
-            self._cache[spec] = (enum.elements, self._law(spec, enum.cells))
-        return self._cache[spec]
-
     def sample(self, encoding: CNFEncoding, count: int, seed: int) -> list[Table]:
-        elements, probs = self._dist(encoding.spec)
-        if not elements:
+        enum = enumerate_fiber(encoding.spec, cap=FULL_FIBER_CAP).require_complete()
+        if self._fiber[0] is not enum:
+            # its tables as an object array, gathered by index without an int per draw
+            tables = np.fromiter(enum.elements, dtype=object, count=len(enum))
+            self._fiber = (enum, self._law(encoding.spec, enum.cells), tables)
+        _, probs, tables = self._fiber
+        if not len(tables):
             raise SamplerOutputError("fiber is empty")
-        idx = make_rng(seed).choice(len(elements), size=count, p=probs)
-        return [elements[int(i)] for i in idx]
+        idx = make_rng(seed).choice(len(tables), size=count, p=probs)
+        return tables[idx].tolist()
 
 
 class InternalUniformSampler(_EnumeratingSampler):

@@ -109,9 +109,7 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .encode import CNFEncoding, cell_value_bound, encode_fiber
-from .enumeration import (
-    FULL_FIBER_CAP, enumerate_fiber, hit_cut, log_rho_rows, normalized_exp, rho_weights,
-)
+from .enumeration import FULL_FIBER_CAP, enumerate_fiber, hit_cut, log_rho_rows, normalized_exp
 from .models import FiberSpec, Table
 from .moves import MoveSet
 from .sampling import SEED_BOUND, FiberSampler, SamplerError, make_rng
@@ -127,7 +125,6 @@ __all__ = [
     "RunRecord",
     "run_walk",
     "connected_components_under_moves",
-    "rho_distribution",
     "empirical_tv",
 ]
 
@@ -839,7 +836,7 @@ def connected_components_under_moves(spec: FiberSpec, moves: MoveSet) -> list[li
     own component."""
     # a union is symmetric, so each move as given finds every edge
     signed = _signed_moves(moves, spec)[1::2]
-    fiber = list(enumerate_fiber(spec, cap=FULL_FIBER_CAP).require_complete())
+    fiber = enumerate_fiber(spec, cap=FULL_FIBER_CAP).require_complete().elements
     index = {u.cells: i for i, u in enumerate(fiber)}
     parent = list(range(len(fiber)))
 
@@ -861,16 +858,6 @@ def connected_components_under_moves(spec: FiberSpec, moves: MoveSet) -> list[li
     for i, u in enumerate(fiber):
         groups.setdefault(find(i), []).append(u)
     return sorted(groups.values(), key=len, reverse=True)
-
-
-def rho_distribution(fiber: Sequence[Table]) -> dict[tuple[int, ...], float]:
-    """Normalized target rho(v) = (1/prod v_i!) / Z over an enumerated
-    fiber, via log-sum-exp."""
-    if not fiber:
-        raise ValueError("empty fiber")
-    ws = rho_weights(np.array([u.cells for u in fiber]))
-    z = sum(ws)
-    return {u.cells: w / z for u, w in zip(fiber, ws)}
 
 
 def empirical_tv(

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import record_acceptance, reference_rho
 from fiberwalk.bench import (
     ExperimentConfig,
     convergence_step,
@@ -58,7 +58,6 @@ from fiberwalk.walk import (
     ParallelStarts,
     connected_components_under_moves,
     empirical_tv,
-    rho_distribution,
     run_walk,
 )
 
@@ -135,7 +134,9 @@ def test_criterion_02_stationary_distribution():
     for ci, (spec, start) in enumerate(zip(fibers, starts)):
         size = fiber_size(spec)
         assert size <= 10
-        rho = rho_distribution(list(enumerate_fiber(spec)))
+        enum = enumerate_fiber(spec)
+        rho = enum.rho()
+        assert rho == reference_rho(list(enum))
         moves = basic_moves_two_way(start.shape)
         for name, schedule in schedules:
             rec = run_walk(

@@ -459,25 +459,42 @@ def test_enumerate_cnf_refuses_a_malformed_file(tmp_path, text, message, capsys)
     assert captured.out == ""
 
 
-def test_diagnose_enumerates_once_besides_the_sampler(
-    readme_table, monkeypatch, capsys
-):
-    """One enumeration for the report, one inside the internal sampler:
-    every enumeration runs one block search."""
-    import fiberwalk.enumeration as enumeration
-
-    calls = []
-    original = enumeration.fiber_blocks
-
-    def counting(spec):
-        calls.append(spec)
-        return original(spec)
-
-    monkeypatch.setattr(enumeration, "fiber_blocks", counting)
+def test_diagnose_enumerates_once(readme_table, block_searches, capsys):
+    """The report and the internal sampler read one enumeration."""
     code = run_cli("diagnose", "--table", readme_table, "--draws", "100")
     assert code == 0
     assert "fiber size: 55" in capsys.readouterr().out
-    assert len(calls) == 2
+    assert len(block_searches) == 1
+
+
+def test_diagnose_refuses_a_large_fiber_before_any_sampler_call(readme_table, tmp_path,
+                                                                  monkeypatch, capsys):
+    marker = tmp_path / "called"
+    monkeypatch.setattr(fiberwalk.cli, "FULL_FIBER_CAP", 54)  # the fiber holds 55 tables
+    code = run_cli("diagnose", "--table", readme_table, "--sampler", "external",
+                   "--sampler-command", f"touch {marker}")
+    assert code == 2
+    assert capsys.readouterr().err == "error: enumeration incomplete: more than 54 elements\n"
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("sampler", ["internal-uniform", "internal-biased"])
+def test_test_enumerates_once(readme_table, block_searches, sampler, capsys):
+    """The exact p and the internal sampler read one enumeration."""
+    code = run_cli("test", "--table", readme_table, "--steps", "300", "--schedule",
+                   "alternating", "--period", "3", "--sampler", sampler)
+    assert code == 0
+    assert "exact p: 0." in capsys.readouterr().out
+    assert len(block_searches) == 1
+
+
+def test_bench_enumerates_once_per_run(tmp_path, block_searches, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[experiment]\nmodel = independence\nshape = 3, 3\nn = 12\nruns = 3\n"
+                   "steps = 300\nseed = 5\n[schedule]\nkind = alternating\nperiod = 3\n")
+    assert run_cli("bench", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
+    assert "runs: 3 (3 ok, 0 failed)" in capsys.readouterr().out
+    assert len(block_searches) == 3
 
 
 def test_test_rejects_a_shape_that_contradicts_the_table(readme_table, capsys):

@@ -9,19 +9,23 @@ rho(u) proportional to 1/prod(u_ij!); tables tied with the observed one
 count, which a rational-arithmetic oracle checks.
 """
 
+import gc
 import hashlib
 import io
 import itertools
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import count_block_searches
 import fiberwalk.enumeration as enumeration
 from fiberwalk.enumeration import (
+    FULL_FIBER_CAP,
     FiberTooLarge,
     enumerate_fiber,
     exact_p_from_enumeration,
@@ -442,6 +446,68 @@ def test_block_search_matches_the_reference_search(spec, rows):
         if size:
             with pytest.raises(FiberTooLarge):
                 fiber_size(spec, cap=size - 1)
+
+
+def fresh_search(spec, cap):
+    """``enumerate_fiber`` with nothing held."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_held", weakref.WeakValueDictionary())
+        return enumerate_fiber(spec, cap=cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(quasi_fibers(), n3f_fibers(), st.sampled_from(ALL_ZERO_SPECS)),
+    st.sampled_from([1, 3, enumeration._BLOCK_ROWS]),
+)
+def test_a_held_enumeration_answers_as_a_fresh_search(spec, rows):
+    """Every pair of caps around the size, asked in either order while
+    the first answer is held, gives the cells (values and dtype),
+    shape, ``complete`` and, when incomplete, ``cap`` of a fresh
+    search; the second searches only when the first does not cover
+    it.  ``fiber_size`` answers from the held one as it streams."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_BLOCK_ROWS", rows)
+        size = len(fresh_search(spec, 301))
+        assume(size <= 300)
+        caps = sorted({0, max(size - 1, 0), size, size + 1})
+        calls = count_block_searches(mp)
+        for a, b in itertools.product(caps, repeat=2):
+            mp.setattr(enumeration, "_held", weakref.WeakValueDictionary())
+            calls.clear()
+            first = enumerate_fiber(spec, cap=a)
+            second = enumerate_fiber(spec, cap=b)
+            assert len(calls) == (1 if first.complete or a >= b else 2)
+            for got, cap in ((first, a), (second, b)):
+                want = fresh_search(spec, cap)
+                assert got.cells.dtype == want.cells.dtype
+                assert got.cells.tolist() == want.cells.tolist()
+                assert got.cells.shape == want.cells.shape and got.shape == want.shape
+                assert got.complete == want.complete
+                assert got.complete or got.cap == want.cap == cap
+            for cap in caps:
+                if size > cap:
+                    with pytest.raises(FiberTooLarge):
+                        fiber_size(spec, cap=cap)
+                else:
+                    assert fiber_size(spec, cap=cap) == size
+
+
+def test_an_enumeration_is_held_only_while_in_use(block_searches):
+    """Once the last reference is gone, the next call searches again."""
+    spec = spec_of(*ORDER_FIBERS["n3f-3x3x3"])
+    enum = enumerate_fiber(spec)
+    assert len(enum.elements) == 749
+    assert not enum.cells.flags.writeable  # callers share the held cells
+    assert enumerate_fiber(spec, cap=FULL_FIBER_CAP) is enum
+    assert fiber_size(spec) == 749
+    assert len(block_searches) == 1
+    held = weakref.ref(enum)
+    del enum
+    gc.collect()
+    assert held() is None
+    assert len(enumerate_fiber(spec)) == 749
+    assert len(block_searches) == 2
 
 
 @settings(max_examples=40, deadline=None)

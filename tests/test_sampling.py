@@ -7,6 +7,7 @@ lines from stdout.  Every failure mode gets its own exception type so
 callers can tell a crashed sampler from one that emits garbage.
 """
 
+import gc
 import io
 import os
 import signal
@@ -189,24 +190,53 @@ def test_internal_uniform_is_roughly_uniform():
     assert tv < 0.03
 
 
+def tilted_draws(strength, count, seed):
+    """What the biased sampler must draw: numpy's choice from the law
+    exp(strength * u_first) / Z over the fiber in enumeration order."""
+    firsts = np.array([t.cells[0] for t in FIBER], dtype=float)
+    w = np.exp(strength * firsts - (strength * firsts).max())
+    idx = make_rng(seed).choice(len(FIBER), size=count, p=w / w.sum())
+    return [FIBER[i].cells for i in idx]
+
+
 def test_internal_biased_strength_zero_is_uniform():
     enc = encode_fiber(SPEC)
-    sam = InternalBiasedSampler(strength=0.0)
-    _, probs = sam._dist(SPEC)
-    assert np.allclose(probs, 1.0 / len(FIBER))
+    out = InternalBiasedSampler(strength=0.0).sample(enc, 6000, seed=11)
+    assert [t.cells for t in out] == tilted_draws(0.0, 6000, seed=11)
+    assert tv_to_uniform(out, FIBER) < 0.03
 
 
 def test_internal_biased_tilts_first_free_cell():
     enc = encode_fiber(SPEC)
     sam = InternalBiasedSampler(strength=2.0)
-    elements, probs = sam._dist(SPEC)
-    firsts = np.array([t.cells[0] for t in elements], dtype=float)
-    # exponential tilt: probabilities ordered with the first cell
-    order = np.argsort(firsts)
-    assert (np.diff(probs[order]) > 0).all()
     out = sam.sample(enc, 4000, seed=3)
+    assert [t.cells for t in out] == tilted_draws(2.0, 4000, seed=3)
+    # exponential tilt: draws ordered with the first cell
+    counts = Counter(t.cells[0] for t in out)
+    assert counts[0] < counts[1] < counts[2]
     mean_first = np.mean([t.cells[0] for t in out])
-    assert mean_first > np.mean(firsts)
+    assert mean_first > np.mean([t.cells[0] for t in FIBER])
+
+
+def test_the_sampler_draws_from_the_held_enumeration(block_searches):
+    """The sampler reads the enumeration its caller holds and keeps it
+    held between draws; once both are gone, the fiber is searched
+    again."""
+    spec = fiber_spec_from_observation(Independence((3, 3)), Table((2, 1, 0) * 3, (3, 3)))
+    enc = encode_fiber(spec)
+    enum = enumerate_fiber(spec, cap=100_000)
+    sam = InternalUniformSampler()
+    out = sam.sample(enc, 50, seed=1)
+    assert all(any(t is v for v in enum.elements) for t in out)
+    del enum
+    gc.collect()
+    sam.sample(enc, 50, seed=2)
+    assert enumerate_fiber(spec).complete
+    assert len(block_searches) == 1
+    del sam
+    gc.collect()
+    assert enumerate_fiber(spec).complete
+    assert len(block_searches) == 2
 
 
 def test_build_sampler_internal_batches_and_labels():

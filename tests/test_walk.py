@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import reference_rho
 from fiberwalk.encode import cell_value_bound, encode_fiber
 from fiberwalk.enumeration import enumerate_fiber, hit_cut
 from fiberwalk.mle import ChiSquare, fit_loglinear
@@ -57,7 +58,6 @@ from fiberwalk.walk import (
     ParallelStarts,
     empirical_tv,
     make_schedule,
-    rho_distribution,
     run_walk,
 )
 
@@ -220,12 +220,13 @@ def test_every_visited_state_is_in_the_fiber(schedule):
     assert all(spec.contains(t) for t in rec.finals)
 
 
-def test_rho_distribution_hand_values():
-    fiber = [Table((2, 0, 0, 2), (2, 2)), Table((1, 1, 1, 1), (2, 2))]
-    rho = rho_distribution(fiber)
-    # weights 1/4 and 1 normalize to 1/5 and 4/5
-    assert rho[(2, 0, 0, 2)] == pytest.approx(0.2)
-    assert rho[(1, 1, 1, 1)] == pytest.approx(0.8)
+def test_rho_hand_values():
+    enum = enumerate_fiber(fiber_spec_from_observation(Independence((2, 2)),
+                                                       Table((2, 0, 0, 2), (2, 2))))
+    rho = enum.rho()
+    # weights 1/4, 1 and 1/4 normalize to 1/6, 2/3 and 1/6
+    assert rho == pytest.approx({(0, 2, 2, 0): 1 / 6, (1, 1, 1, 1): 2 / 3, (2, 0, 0, 2): 1 / 6})
+    assert rho == reference_rho(list(enum))
 
 
 def test_empirical_tv_hand_values():
@@ -238,7 +239,9 @@ def test_walk_reaches_rho_on_tiny_fiber():
     """Long MovesOnly walk matches the enumerated target within a
     loose TV budget."""
     rec = run_walk(SPEC, U0, MovesOnly(), MOVES, None, 40_000, count_stat, seed=9, count_states=True)
-    rho = rho_distribution(list(enumerate_fiber(SPEC)))
+    enum = enumerate_fiber(SPEC)
+    rho = enum.rho()
+    assert rho == reference_rho(list(enum))
     tv = empirical_tv(rec.state_counts, rho)
     print(f"TV after 40k move steps: {tv:.4f}")
     assert tv < 0.02
@@ -786,8 +789,9 @@ def _criterion_04_fiber():
     """[[a, 3 - a], [3 - a, a]] for a = 0..3, its rho and its hits."""
     u = Table((0, 3, 3, 0), (2, 2))
     spec = fiber_spec_from_observation(Independence((2, 2)), u)
-    fiber = list(enumerate_fiber(spec))
-    rho = rho_distribution(fiber)
+    enum = enumerate_fiber(spec)
+    fiber, rho = list(enum), enum.rho()
+    assert rho == reference_rho(fiber)
     stat = ChiSquare(fit_loglinear(spec.matrix, u).pi, u.n)
     cut = hit_cut(stat(u.cells))
     hits = np.array([stat(t.cells) >= cut for t in fiber])
@@ -907,7 +911,9 @@ def test_pool_below_a_component_still_crosses_a_disconnected_fiber(monkeypatch):
     w = np.zeros(25)
     w[free] = 1.0 + 0.35 * np.arange(len(free))
     stat = ChiSquare(w / w.sum(), u.n, spec.structural_zeros)
-    exact = rho_distribution(list(enumerate_fiber(spec)))
+    enum = enumerate_fiber(spec)
+    exact = enum.rho()
+    assert exact == reference_rho(list(enum))
     cut = hit_cut(stat(u.cells))
     p_exact = sum(p for c, p in exact.items() if stat(c) >= cut)
     assert p_exact == pytest.approx(1 / 12, abs=1e-12)
