@@ -266,8 +266,7 @@ def cmd_bench(args) -> int:
 def cmd_diagnose(args) -> int:
     spec, _ = _build_spec(args)
     config = SamplerConfig(args.sampler, args.sampler_command, args.timeout, args.bias_strength)
-    # enumerated first, so an internal sampler draws from this enumeration
-    # and a fiber too large to hold is refused before any sampler call
+    # first, so an internal sampler reuses it and a fiber past the cap is refused before any draw
     fiber = enumerate_fiber(spec, cap=FULL_FIBER_CAP).require_complete()
     draws = build_sampler(config).sample(encode_fiber(spec), args.draws, args.seed)
     uniform = {v.cells: 1.0 / len(fiber) for v in fiber}

@@ -15,13 +15,12 @@ aborting, keeping the first ``cap`` elements in that order; operations
 that need the whole fiber (exact p-values, sizes) refuse incomplete
 enumerations explicitly.
 
-``enumerate_fiber`` is the one owner of a fiber's enumeration: it
-answers from the last enumeration of an equal spec when that one is
-complete or cut at the cap or past it (its first ``cap`` elements,
-marked incomplete when it has more), and searches otherwise, so each
-answer equals a fresh search.  The hold is weak, so that a finished
-test's fiber is freed before the next test runs rather than raising
-the peak memory; held cells are read-only, as callers share them.
+``enumerate_fiber`` answers from the last enumeration of an equal spec
+when that one is complete or was cut at the cap or past it (its first
+``cap`` elements, marked incomplete when it has more), and searches
+otherwise, so each answer equals a fresh search.  The hold is weak, so
+a finished test's fiber is freed before the next test runs rather than
+raising the peak memory; held cells are read-only, as callers share them.
 
 A fiber element is a hit when its statistic is at least
 ``hit_cut(observed)``, the observed value less a relative 1e-7 (the
@@ -113,9 +112,7 @@ class FiberEnumeration:
 
     def rho(self) -> dict[tuple[int, ...], float]:
         """rho(v) = (1/prod v_i!) / Z of each element of the complete fiber."""
-        if not len(self.require_complete()):
-            raise ValueError("empty fiber")
-        ws = rho_weights(self.cells)
+        ws = rho_weights(self.require_complete().cells)
         z = sum(ws)
         return {c: w / z for c, w in zip(_rows(self.cells), ws)}
 
@@ -193,18 +190,12 @@ def _check_cap(cap: int) -> None:
 _held: "weakref.WeakValueDictionary[FiberSpec, FiberEnumeration]" = weakref.WeakValueDictionary()
 
 
-def _covering(spec: FiberSpec, cap: int) -> FiberEnumeration | None:
-    """The held enumeration of ``spec`` if complete or cut at ``cap`` or past it."""
-    held = _held.get(spec)
-    return held if held is not None and (held.complete or held.cap >= cap) else None
-
-
 def enumerate_fiber(spec: FiberSpec, cap: int = DEFAULT_CAP) -> FiberEnumeration:
     """Enumerate up to ``cap`` fiber elements; marks the result
     incomplete (rather than raising) when more exist."""
     _check_cap(cap)
-    held = _covering(spec, cap)
-    if held is None:
+    held = _held.get(spec)
+    if held is None or not (held.complete or held.cap >= cap):
         blocks, found = [np.zeros((0, spec.d), np.int8)], 0
         for block in fiber_blocks(spec):
             blocks.append(block)
@@ -222,12 +213,9 @@ def fiber_size(spec: FiberSpec, cap: int = DEFAULT_CAP) -> int:
     """Exact number of fiber elements; raises :class:`FiberTooLarge`
     past the cap."""
     _check_cap(cap)
-    held = _covering(spec, cap)
-    # an incomplete enumeration counts one element past its cap
-    sizes = map(len, fiber_blocks(spec)) if held is None else [len(held) + (not held.complete)]
     count = 0
-    for size in sizes:
-        count += size
+    for block in fiber_blocks(spec):
+        count += len(block)
         if count > cap:
             raise FiberTooLarge(f"fiber exceeds cap of {cap} elements")
     return count

@@ -428,22 +428,25 @@ def _wait(proc: subprocess.Popen, timeout: float | None) -> int:
 @dataclass
 class _EnumeratingSampler:
     """Draws element indices of the enumerated fiber from a law (None
-    for uniform).  Keeps the enumeration it draws from, so it stays
-    held, with its law and its tables; draws reference those tables
-    rather than copying them.  Fibers past ``FULL_FIBER_CAP`` elements
-    raise FiberTooLarge."""
+    for uniform).  Keeps the last fiber's spec, law and tables, but not
+    its enumeration, so that one ends with its caller's; draws
+    reference those tables rather than copying them.  Fibers past
+    ``FULL_FIBER_CAP`` elements raise FiberTooLarge."""
 
-    _fiber: tuple = field(default=(None, None, None), init=False, repr=False)
+    _fiber: tuple[FiberSpec, np.ndarray | None, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def _law(self, spec: FiberSpec, cells: np.ndarray) -> np.ndarray | None:
         return None
 
     def sample(self, encoding: CNFEncoding, count: int, seed: int) -> list[Table]:
-        enum = enumerate_fiber(encoding.spec, cap=FULL_FIBER_CAP).require_complete()
-        if self._fiber[0] is not enum:
+        spec = encoding.spec
+        if self._fiber is None or self._fiber[0] != spec:
+            enum = enumerate_fiber(spec, cap=FULL_FIBER_CAP).require_complete()
             # its tables as an object array, gathered by index without an int per draw
             tables = np.fromiter(enum.elements, dtype=object, count=len(enum))
-            self._fiber = (enum, self._law(encoding.spec, enum.cells), tables)
+            self._fiber = (spec, self._law(spec, enum.cells), tables)
         _, probs, tables = self._fiber
         if not len(tables):
             raise SamplerOutputError("fiber is empty")

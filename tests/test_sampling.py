@@ -14,6 +14,7 @@ import signal
 import tempfile
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -219,8 +220,9 @@ def test_internal_biased_tilts_first_free_cell():
 
 
 def test_the_sampler_draws_from_the_held_enumeration(block_searches):
-    """The sampler reads the enumeration its caller holds and keeps it
-    held between draws; once both are gone, the fiber is searched
+    """The sampler reads the enumeration its caller holds and keeps its
+    tables, not the enumeration: once the caller lets go, later draws
+    search nothing, while the next enumeration of the fiber searches
     again."""
     spec = fiber_spec_from_observation(Independence((3, 3)), Table((2, 1, 0) * 3, (3, 3)))
     enc = encode_fiber(spec)
@@ -228,13 +230,12 @@ def test_the_sampler_draws_from_the_held_enumeration(block_searches):
     sam = InternalUniformSampler()
     out = sam.sample(enc, 50, seed=1)
     assert all(any(t is v for v in enum.elements) for t in out)
+    held = weakref.ref(enum)
     del enum
     gc.collect()
-    sam.sample(enc, 50, seed=2)
-    assert enumerate_fiber(spec).complete
+    assert held() is None
+    assert all(a is b for a, b in zip(sam.sample(enc, 50, seed=1), out, strict=True))
     assert len(block_searches) == 1
-    del sam
-    gc.collect()
     assert enumerate_fiber(spec).complete
     assert len(block_searches) == 2
 
