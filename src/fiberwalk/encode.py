@@ -200,14 +200,15 @@ class CNFEncoding:
 
     def decode(self, model: Sequence[int]) -> Table:
         """Rebuild the table from a model given as a sequence of
-        literals (sign = truth value); auxiliary literals are ignored."""
+        literals (sign = truth value); auxiliary literals are ignored.
+        A model giving a cell variable both ways is refused."""
         l = self.bits_per_cell
         d = self.spec.d
         truth = {}
         for lit in model:
             v = abs(lit)
-            if 1 <= v <= d * l:
-                truth[v] = lit > 0
+            if 1 <= v <= d * l and truth.setdefault(v, lit > 0) != (lit > 0):
+                raise ValueError(f"model gives cell variable {v} both ways")
         cells = []
         for j in range(d):
             val = 0

@@ -112,7 +112,9 @@ class FiberEnumeration:
 
     def rho(self) -> dict[tuple[int, ...], float]:
         """rho(v) = (1/prod v_i!) / Z of each element of the complete fiber."""
-        ws = rho_weights(self.require_complete().cells)
+        if not len(self.require_complete()):
+            raise ValueError("empty fiber")
+        ws = rho_weights(self.cells)
         z = sum(ws)
         return {c: w / z for c, w in zip(_rows(self.cells), ws)}
 

@@ -183,58 +183,13 @@ def _parse_template(command: str) -> tuple[list[str], set[str]]:
     return args, names
 
 
-def _parse_solutions(lines: Iterable[str]) -> list[list[int]]:
-    """Solution literals from sampler output, given as the lines a text
-    file yields: lines of integers terminated by 0, with or without a
-    leading ``v``; 0 splits solutions even across lines.
-
-    A sampler repeats lines, so each distinct line is converted once.
-    A line holding exactly one solution, met with nothing pending,
-    yields the list converted at its first occurrence and a copy of it
-    at every repeat.  The output is read one line at a time, so
-    neither it nor its repeated lines cost more memory than the
-    solutions returned.  Each solution is a distinct list.
-    """
-    solutions: list[list[int]] = []
-    pending: list[int] = []
-    seen: dict[str, tuple[list[int] | None, list[int] | None]] = {}
-    for line in lines:
-        piece = line[:-1] if line.endswith("\n") else line
-        if not piece:
-            continue
-        entry = seen.get(piece)
-        repeat = entry is not None
-        if not repeat:
-            entry = seen[piece] = _line_literals(piece)
-        solution, lits = entry
-        if solution is not None:
-            if pending:
-                pending.extend(solution)
-                solutions.append(pending)
-                pending = []
-            else:
-                solutions.append(solution.copy() if repeat else solution)
-            continue
-        for lit in lits:
-            if lit == 0:
-                if pending:
-                    solutions.append(pending)
-                    pending = []
-            else:
-                pending.append(lit)
-    if pending:
-        solutions.append(pending)
-    return solutions
-
-
-def _line_literals(piece: str) -> tuple[list[int] | None, list[int] | None]:
-    """``(solution, None)`` when a newline-free piece of sampler output
-    holds exactly one 0-terminated solution, else ``(None, literals)``.
-    The piece is split into lines as ``str.splitlines`` does; a banner
-    or comment line, or one holding a token that is not an integer,
-    adds no literals."""
+def _line_literals(text: str) -> tuple[list[int] | None, list[int] | None]:
+    """``(solution, None)`` when a line of sampler output holds exactly
+    one 0-terminated solution, else ``(None, literals)``.  The line is
+    split further as ``str.splitlines`` does; a banner or comment line,
+    or one holding a token that is not an integer, adds no literals."""
     lits: list[int] = []
-    for raw in piece.splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
@@ -312,34 +267,54 @@ class ExternalSampler:
         self.calls += 1
         return call
 
-    def _members(self, encoding: CNFEncoding, solutions: list[list[int]]) -> list[Table]:
-        """The fiber elements among a call's solutions, counted into the
-        sampler's totals; an error when none or under half are."""
-        if not solutions:
+    def _read(self, encoding: CNFEncoding, lines: Iterable[str]) -> list[Table]:
+        """The fiber elements among the solutions in a call's output,
+        given as the lines a text file yields: lines of integers
+        terminated by 0, with or without a leading ``v``; 0 splits
+        solutions even across lines.  Counted into the sampler's totals;
+        an error when none or under half are fiber elements.
+
+        A sampler repeats lines, so a line holding exactly one solution,
+        met with nothing pending, is converted, decoded and checked once:
+        its repeats share that Table, or that rejection.  The output is
+        read one line at a time and no solution's literals are kept.
+        """
+        members: dict[str, Table | None] = {}
+        found: list[Table | None] = []  # one entry per solution, None if invalid
+        pending: list[int] = []
+        for line in lines:
+            if not pending and line in members:
+                found.append(members[line])
+                continue
+            solution, lits = _line_literals(line)
+            if solution is not None:
+                if pending:
+                    found.append(_fiber_member(encoding, pending + solution))
+                    pending = []
+                else:
+                    found.append(members.setdefault(line, _fiber_member(encoding, solution)))
+                continue
+            for lit in lits:
+                if lit:
+                    pending.append(lit)
+                elif pending:
+                    found.append(_fiber_member(encoding, pending))
+                    pending = []
+        if pending:
+            found.append(_fiber_member(encoding, pending))
+        if not found:
             raise SamplerOutputError("no valid samples: output held no solutions")
-        # A sampler repeats solutions, so each distinct one is decoded
-        # and checked once; repeats share the Table.
-        members: dict[tuple[int, ...], Table | None] = {}
-        tables = []
-        invalid = 0
-        for lits in solutions:
-            key = tuple(lits)
-            if key not in members:
-                members[key] = _fiber_member(encoding, lits)
-            table = members[key]
-            if table is None:
-                invalid += 1
-            else:
-                tables.append(table)
-        self.solutions += len(solutions)
+        tables = [t for t in found if t is not None]
+        invalid = len(found) - len(tables)
+        self.solutions += len(found)
         self.invalid += invalid
         if not tables:
             raise SamplerValidityError(
                 f"no valid samples: all {invalid} solutions failed fiber validation"
             )
-        if invalid * 2 > len(solutions):
+        if invalid * 2 > len(found):
             raise SamplerValidityError(
-                f"{invalid} of {len(solutions)} solutions are not fiber elements"
+                f"{invalid} of {len(found)} solutions are not fiber elements"
             )
         return tables
 
@@ -366,7 +341,7 @@ class _Call:
             self.close()
 
     def result(self) -> list[Table]:
-        """Wait for the command, until the deadline at most, then parse,
+        """Wait for the command, until the deadline at most, then read,
         decode and validate its output."""
         try:
             if self.error is not None:
@@ -385,13 +360,12 @@ class _Call:
                 )
             self.out.seek(0)
             try:
-                solutions = _parse_solutions(self.out)
+                return self.sampler._read(self.encoding, self.out)
             except UnicodeDecodeError as exc:
                 raise SamplerOutputError(f"sampler output is not text in the locale's "
                                          f"encoding: {exc}") from exc
         finally:
             self.close()
-        return self.sampler._members(self.encoding, solutions)
 
     def close(self) -> None:
         """Kill the command and what it started if it still runs, reap

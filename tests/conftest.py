@@ -1,10 +1,13 @@
+import io
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fiberwalk.enumeration as enumeration
 from fiberwalk.enumeration import rho_weights
+from fiberwalk.sampling import ExternalSampler
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -39,6 +42,24 @@ def count_block_searches(mp) -> list:
     calls, original = [], enumeration.fiber_blocks
     mp.setattr(enumeration, "fiber_blocks", lambda spec: calls.append(spec) or original(spec))
     return calls
+
+
+class LiteralsEncoding:
+    """An encoding for the external sampler's reader on which every
+    solution is a fiber element and decodes to the tuple of its
+    literals."""
+
+    spec = SimpleNamespace(contains=lambda table: True)
+
+    def decode(self, model) -> tuple[int, ...]:
+        return tuple(model)
+
+
+def read_literals(text: str) -> tuple[list[tuple[int, ...]], ExternalSampler]:
+    """The solutions ``ExternalSampler`` reads from ``text``, each as the
+    tuple of its literals, and the sampler that read them."""
+    sampler = ExternalSampler("true {cnf}")
+    return sampler._read(LiteralsEncoding(), io.StringIO(text)), sampler
 
 
 @pytest.fixture

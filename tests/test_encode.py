@@ -13,6 +13,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import read_literals
 from fiberwalk.dpll import Solver
 from fiberwalk.encode import (
     bit_width,
@@ -29,7 +30,7 @@ from fiberwalk.models import (
     Table,
     fiber_spec_from_observation,
 )
-from fiberwalk.sampling import _parse_solutions, enumerate_cnf_tables
+from fiberwalk.sampling import enumerate_cnf_tables
 
 
 def spec_of(model, cells, shape):
@@ -69,6 +70,20 @@ def test_encode_decode_round_trip():
         model = {abs(v): v > 0 for v in lits}
         back = enc.decode([v if model[v] else -v for v in sorted(model)])
         assert back == t
+
+
+def test_decode_refuses_a_cell_variable_given_both_ways():
+    """A model with both v and -v is malformed, even where its last
+    literal for v would give a fiber element; repeats of one literal and
+    auxiliary variables given both ways are not refused."""
+    u = Table((2, 1, 0, 1, 1, 1, 0, 1, 2), (3, 3))
+    enc = encode_fiber(spec_of(Independence((3, 3)), u.cells, u.shape))
+    lits = list(enc.encode_table(u))
+    with pytest.raises(ValueError, match=f"cell variable {abs(lits[0])} both ways"):
+        enc.decode([-lits[0]] + lits)
+    aux = enc.num_vars
+    assert aux > len(lits)
+    assert enc.decode(lits + lits + [aux, -aux]) == u
 
 
 def test_encode_table_rejects_overflow():
@@ -211,12 +226,12 @@ def test_write_layout_one_line_per_cell():
 
 
 def test_parse_solution_line():
-    # the parser ExternalSampler applies to the lines of sampler output
-    assert _parse_solutions(io.StringIO("v 1 -2 3 0")) == [[1, -2, 3]]
-    assert _parse_solutions(io.StringIO("1 -2 0")) == [[1, -2]]
+    # the reader ExternalSampler applies to the lines of sampler output
+    assert read_literals("v 1 -2 3 0")[0] == [(1, -2, 3)]
+    assert read_literals("1 -2 0")[0] == [(1, -2)]
     # banners and comments are skipped; 0 splits solutions across lines
     text = "c banner\ns SATISFIABLE\nv 1 -2\nv 3 0 -1 2 0\n"
-    assert _parse_solutions(io.StringIO(text)) == [[1, -2, 3], [-1, 2]]
+    assert read_literals(text)[0] == [(1, -2, 3), (-1, 2)]
 
 
 @settings(max_examples=20, deadline=None)

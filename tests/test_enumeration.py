@@ -175,6 +175,16 @@ def test_exact_p_from_enumeration_refuses_incomplete():
         exact_p_from_enumeration(enum, 0.0, lambda c: 0.0)
 
 
+def test_an_empty_fiber_has_no_rho_law_nor_exact_p():
+    spec = FiberSpec(Independence((2, 2)).matrix, (1, 0, 0, 0), (), (2, 2))
+    enum = enumerate_fiber(spec)
+    assert enum.complete and len(enum) == 0
+    with pytest.raises(ValueError, match="^empty fiber$"):
+        enum.rho()
+    with pytest.raises(ValueError, match="^empty fiber$"):
+        exact_p_from_enumeration(enum, 0.0, lambda c: 0.0)
+
+
 def test_write_enumeration_mentions_completeness():
     spec = spec_of(Independence((2, 2)), (1, 1, 1, 1), (2, 2))
     buf = io.StringIO()

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import read_literals
 from fiberwalk.encode import CNFEncoding, encode_fiber
 from fiberwalk.enumeration import enumerate_fiber
 from fiberwalk.models import Independence, Table, fiber_spec_from_observation
@@ -29,12 +30,14 @@ from fiberwalk.sampling import (
     InternalBiasedSampler,
     InternalUniformSampler,
     SamplerConfig,
+    SamplerError,
     SamplerExitError,
     SamplerLaunchError,
     SamplerOutputError,
     SamplerTimeoutError,
     SamplerValidityError,
-    _parse_solutions,
+    _fiber_member,
+    _line_literals,
     build_sampler,
     make_rng,
 )
@@ -64,12 +67,12 @@ def lits_line(enc, table):
     return "v " + " ".join(str(v) for v in enc.encode_table(table)) + " 0"
 
 
-# -- the output parser
+# -- the output reader
 
 
 def reference_parse(text):
-    """The line-at-a-time parser that ``_parse_solutions`` must agree
-    with: every line converted on its own."""
+    """The line-at-a-time parser that ``ExternalSampler``'s reader must
+    agree with: every line converted on its own."""
     solutions, pending = [], []
     for raw in text.splitlines():
         line = raw.strip()
@@ -95,6 +98,59 @@ def reference_parse(text):
     return solutions
 
 
+def two_pass_read(sampler, encoding, lines):
+    """What the reader must equal: the solutions parsed first, each
+    distinct line converted once and each repeat of a one-solution line
+    copied, then each distinct solution decoded and checked once, and
+    the sampler's totals and errors from all of them."""
+    solutions, pending, seen = [], [], {}
+    for line in lines:
+        piece = line[:-1] if line.endswith("\n") else line
+        if not piece:
+            continue
+        repeat = piece in seen
+        if not repeat:
+            seen[piece] = _line_literals(piece)
+        solution, lits = seen[piece]
+        if solution is not None:
+            if pending:
+                pending.extend(solution)
+                solutions.append(pending)
+                pending = []
+            else:
+                solutions.append(solution.copy() if repeat else solution)
+            continue
+        for lit in lits:
+            if lit == 0:
+                if pending:
+                    solutions.append(pending)
+                    pending = []
+            else:
+                pending.append(lit)
+    if pending:
+        solutions.append(pending)
+    if not solutions:
+        raise SamplerOutputError("no valid samples: output held no solutions")
+    members, tables, invalid = {}, [], 0
+    for lits in solutions:
+        key = tuple(lits)
+        if key not in members:
+            members[key] = _fiber_member(encoding, lits)
+        if members[key] is None:
+            invalid += 1
+        else:
+            tables.append(members[key])
+    sampler.solutions += len(solutions)
+    sampler.invalid += invalid
+    if not tables:
+        raise SamplerValidityError(
+            f"no valid samples: all {invalid} solutions failed fiber validation")
+    if invalid * 2 > len(solutions):
+        raise SamplerValidityError(f"{invalid} of {len(solutions)} solutions are not fiber "
+                                   "elements")
+    return tables
+
+
 TOKENS = st.one_of(
     st.just("0"),
     st.integers(min_value=-400, max_value=400).map(str),
@@ -106,33 +162,83 @@ LINES = st.one_of(
     st.lists(TOKENS, max_size=8).map(lambda ts: "V\t" + " ".join(ts)),
     st.sampled_from(["c banner", "s SATISFIABLE", "", "   ", "v", "c ind 1 2 0", "vv 1 0"]),
 )
+ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\n\n", "\x0c"])
 
 
 @st.composite
-def sampler_outputs(draw):
-    distinct = draw(st.lists(LINES, min_size=1, max_size=8))
+def sampler_outputs(draw, lines=LINES):
+    distinct = draw(st.lists(lines, min_size=1, max_size=8))
     picks = draw(st.lists(st.sampled_from(distinct), max_size=40))
-    ends = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\n\n", "\x0c"])
-    text = "".join(line + draw(ends) for line in picks)
+    text = "".join(line + draw(ENDS) for line in picks)
     if draw(st.booleans()):
-        text += draw(LINES)  # an unterminated tail
+        text += draw(lines)  # an unterminated tail
     return text
 
 
 @settings(max_examples=200, deadline=None)
 @given(sampler_outputs())
-def test_parse_solutions_matches_the_line_at_a_time_parser(text):
-    got = _parse_solutions(io.StringIO(text))  # its lines end at "\n" only
-    assert got == reference_parse(text)
-    assert len({id(solution) for solution in got}) == len(got)
+def test_the_reader_matches_the_line_at_a_time_parser(text):
+    """Its lines end at "\n" only, so "\r" and "\x0c" split inside a
+    line, as they do for the reference."""
+    want = [tuple(lits) for lits in reference_parse(text)]
+    if not want:
+        with pytest.raises(SamplerOutputError, match="output held no solutions"):
+            read_literals(text)
+        return
+    got, sampler = read_literals(text)
+    assert got == want
+    assert (sampler.solutions, sampler.invalid) == (len(want), 0)
 
 
-def test_parse_memory_grows_with_distinct_lines_only():
-    """Repeats of one line share its converted literals: only the
-    returned lists are new."""
+def member_lines(enc):
+    """Lines of sampler output over ``enc``'s fiber: whole solutions of
+    members and of non-members, bare and v-prefixed, split over two
+    lines, two to a line, a cell variable given both ways, and noise."""
+    def lits(table):
+        return [str(v) for v in enc.encode_table(table)]
+
+    tables = st.sampled_from(FIBER + [Table((2, 2, 2, 2), (2, 2)), Table((0, 0, 0, 0), (2, 2))])
+    whole = tables.map(lambda t: " ".join(lits(t) + ["0"]))
+    return st.one_of(
+        whole,
+        whole.map(lambda line: "v " + line),
+        tables.map(lambda t: "v " + " ".join(lits(t)[:2])),  # the head of a split solution
+        tables.map(lambda t: " ".join(lits(t)[2:] + ["0"])),  # and its tail, or a short one
+        st.tuples(whole, whole).map(" ".join),
+        tables.map(lambda t: "v " + " ".join([str(-int(lits(t)[0]))] + lits(t) + ["0"])),
+        LINES,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_reader_equals_parsing_then_decoding(data):
+    """The one-pass reader gives the tables, in order, the totals, and
+    the error type and message of the two passes it replaced."""
+    enc = encode_fiber(SPEC)
+    text = data.draw(sampler_outputs(member_lines(enc)))
+    got_sampler, want_sampler = ExternalSampler("true {cnf}"), ExternalSampler("true {cnf}")
+    try:
+        want = two_pass_read(want_sampler, enc, io.StringIO(text))
+    except SamplerError as exc:
+        with pytest.raises(type(exc)) as err:
+            got_sampler._read(enc, io.StringIO(text))
+        assert str(err.value) == str(exc)
+    else:
+        assert got_sampler._read(enc, io.StringIO(text)) == want
+    assert (got_sampler.solutions, got_sampler.invalid) == \
+        (want_sampler.solutions, want_sampler.invalid)
+
+
+def test_reading_memory_grows_with_distinct_lines_only():
+    """Repeats of one line share its decoded Table: only the list of
+    tables grows with them, and no solution's literals are kept."""
+    enc = encode_fiber(SPEC)
+    cells = enc.encode_table(FIBER[0])
+
     def line(k):
-        # literals past the small-int cache, so each conversion allocates
-        return "v " + " ".join(
+        # auxiliary literals past the small-int cache, so each conversion allocates
+        return "v " + " ".join(map(str, cells)) + " " + " ".join(
             str(-(1000 + i) if (k >> i) & 1 else 1000 + i) for i in range(81)
         ) + " 0\n"
 
@@ -140,15 +246,15 @@ def test_parse_memory_grows_with_distinct_lines_only():
         lines = io.StringIO(text)
         tracemalloc.start()
         try:
-            solutions = _parse_solutions(lines)
-            return tracemalloc.get_traced_memory()[1], len(solutions)
+            tables = ExternalSampler("true {cnf}")._read(enc, lines)
+            return tracemalloc.get_traced_memory()[1], tables
         finally:
             tracemalloc.stop()
 
-    repeated, count = peak(line(0) * 8192)
-    assert count == 8192
-    distinct, count = peak("".join(line(k) for k in range(8192)))
-    assert count == 8192
+    repeated, tables = peak(line(0) * 8192)
+    assert len(tables) == 8192 and all(t is tables[0] for t in tables)
+    distinct, tables = peak("".join(line(k) for k in range(8192)))
+    assert len(tables) == 8192 and tables[0] == FIBER[0]
     assert repeated * 4 < distinct
 
 
@@ -332,8 +438,9 @@ def test_output_that_is_not_text_is_an_output_error(tmp_path):
     script.write_text("#!/bin/sh\nprintf 'v 1 2 \\377 0\\n'\n")
     script.chmod(0o755)
     sampler = ExternalSampler(str(script) + " {cnf}")
-    with pytest.raises(SamplerOutputError):
+    with pytest.raises(SamplerOutputError, match="not text"):
         sampler.sample(enc, 1, 1)
+    assert (sampler.solutions, sampler.invalid) == (0, 0)
     rec = run_walk(SPEC, FIBER[0], Alternating(1), None, sampler, 10, lambda c: float(c[0]),
                    seed=1)
     assert rec.aborted and rec.steps == 0
@@ -364,7 +471,9 @@ def repeats_script(tmp_path, enc, valid, invalid):
     return solution_script(tmp_path, f"repeats{valid}_{invalid}", lines)
 
 
-def test_external_sampler_decodes_each_distinct_solution_once(tmp_path, monkeypatch):
+def test_external_sampler_decodes_each_distinct_line_once(tmp_path, monkeypatch):
+    """8 lines of 2 distinct texts: 2 decodes, and the repeats of the
+    valid line share its Table."""
     enc = encode_fiber(SPEC)
     decoded = []
     original = CNFEncoding.decode
@@ -376,7 +485,20 @@ def test_external_sampler_decodes_each_distinct_solution_once(tmp_path, monkeypa
     monkeypatch.setattr(CNFEncoding, "decode", counting_decode)
     out = ExternalSampler(repeats_script(tmp_path, enc, 6, 2)).sample(enc, 8, 1)
     assert [t.cells for t in out] == [FIBER[0].cells] * 6
+    assert all(t is out[0] for t in out)
     assert len(decoded) == 2
+
+
+def test_external_sampler_counts_a_contradictory_line_invalid(tmp_path):
+    """A line giving a cell variable both ways is malformed, though its
+    last literal for that variable makes a fiber element."""
+    enc = encode_fiber(SPEC)
+    lits = enc.encode_table(FIBER[1])
+    both = "v " + " ".join(map(str, (-lits[0],) + lits)) + " 0"
+    cmd = solution_script(tmp_path, "both", [lits_line(enc, FIBER[0]), both])
+    sam = ExternalSampler(cmd)
+    assert [t.cells for t in sam.sample(enc, 2, 1)] == [FIBER[0].cells]
+    assert (sam.solutions, sam.invalid) == (2, 1)
 
 
 def test_external_sampler_counts_repeated_invalid_lines(tmp_path):

@@ -656,6 +656,20 @@ def test_short_walk_on_a_large_table_costs_what_its_steps_cost():
     assert_same_record(rec, reference_walk(*walk, seed=3))
 
 
+@pytest.mark.parametrize("period, N", [(2, 3000), (5, 4000)])
+def test_pooled_walk_past_the_tabulated_cell_bound(period, N):
+    """With the cell bound (10^5) past max(N, 65,536) the walk takes
+    math.lgamma per cell, so the pooled step runs without lanes and
+    without a typed pool; its record and state counts still equal the
+    per-step walker's."""
+    u = Table((100_000, 0, 0, 100_000), (2, 2))
+    spec = fiber_spec_from_observation(Independence((2, 2)), u)
+    assert cell_value_bound(spec) > max(N, 1 << 16)
+    run = (spec, u, Alternating(period), MOVES, InternalUniformSampler(), N, count_stat)
+    assert_same_record(run_walk(*run, seed=5, count_states=True),
+                       reference_walk(*run, seed=5, count_states=True))
+
+
 # -- the lane kernel: pooled batches stepped side by side, byte for byte
 
 
