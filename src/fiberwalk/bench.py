@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .enumeration import enumerate_fiber, exact_p_from_enumeration
+from .enumeration import (FULL_FIBER_CAP, FiberEnumeration, enumerate_fiber,
+                          exact_p_from_enumeration)
 from .mle import ChiSquare, FitResult, fit_loglinear
 from .models import (
     FiberSpec,
@@ -190,6 +191,14 @@ def generate_initial_n3f(
 ) -> Table:
     """Draw n uniform cells of a d^3 table, then pull one element from
     the fiber of its 2-margins via the configured sampler."""
+    return _initial_n3f(d, n, sampler, seed)[0]
+
+
+def _initial_n3f(d: int, n: int, sampler: SamplerConfig,
+                 seed: int) -> tuple[Table, FiberEnumeration | None]:
+    """``generate_initial_n3f``, and with an internal sampler the
+    enumeration the draw came from: the drawn table has its margins, so
+    while the caller holds it, it serves that table's test too."""
     from .encode import encode_fiber
 
     rng = make_rng(seed)
@@ -199,8 +208,9 @@ def generate_initial_n3f(
     v = Table(cells=tuple(cells), shape=(d, d, d))
     spec = fiber_spec_from_observation(NoThreeWay(d), v)
     batch_seed = int(rng.integers(SEED_BOUND))
-    tables = build_sampler(sampler).sample(encode_fiber(spec), 1, batch_seed)
-    return tables[0]
+    # an internal sampler draws from this enumeration while it is held
+    held = None if sampler.kind == "external" else enumerate_fiber(spec, cap=FULL_FIBER_CAP)
+    return build_sampler(sampler).sample(encode_fiber(spec), 1, batch_seed)[0], held
 
 
 @dataclass(frozen=True)
@@ -321,7 +331,8 @@ def _one_run(
 ) -> BenchRun:
     zeros = ()
     if config.model == "n3f":
-        initial = generate_initial_n3f(config.shape[0], config.n, config.sampler, gen_seed)
+        # ``held`` keeps the draw's enumeration for the test of the same fiber
+        initial, held = _initial_n3f(config.shape[0], config.n, config.sampler, gen_seed)
     elif config.model == "quasi":
         initial, flat = generate_initial_quasi(config.shape, config.n, lam, gen_seed)
         zeros = [unflatten_index(j, config.shape) for j in flat]

@@ -291,11 +291,11 @@ def NoThreeWay(d: int) -> Hierarchical:
 
 
 def margins(A: ConstraintMatrix, u: Table) -> tuple[int, ...]:
-    """Exact integer margin vector A u."""
+    """Exact integer margin vector A u, on Python ints, so no cell or
+    margin overflows."""
     if A.cols != u.d:
         raise ValueError(f"matrix has {A.cols} columns, table has {u.d} cells")
-    vec = np.asarray(u.cells, dtype=np.int64)
-    return tuple(int(x) for x in A.entries @ vec)
+    return tuple((A.entries @ np.array(u.cells, dtype=object)).tolist())
 
 
 def fiber_spec_from_observation(model: Hierarchical, u_obs: Table) -> FiberSpec:

@@ -80,20 +80,20 @@ That makes the pooled schedule a set of independent runs.  A pooled
 step that fires moves to its pick whatever the current table, so it is
 a regeneration point of the chain (Mykland, Tierney & Yu 1995): given
 their start tables, the move runs between pooled steps do not depend on
-each other.  ``_Lanes`` steps the units of a batch (n - 1 move steps,
-then the pooled step on pick j) side by side as the rows of one narrow
-int array, unit 0 from the table the walk holds and unit j from pick
-j - 1, in groups of at most 2,048 units of 4-cell moves.  Then it
-checks which pooled steps fired, by exact keys of the end tables
-against D's, and runs each unit after one that did not again in the
-scalar loop, on the same randomness, from the table the walk then
-holds.  Every lane step sums its
-log-weight terms in the scalar loop's order and decides acceptance with
-``math.exp`` wherever ``np.exp`` could differ, so the record equals the
-one-at-a-time walk's byte for byte.  MovesOnly, ParallelStarts,
-Alternating(1), the N mod n tail, groups of fewer than 128 units, the
-runs again and walks whose log-factorials are not tabulated stay in the
-scalar loop.
+each other.  ``_Lanes`` takes every pooled step.  With tabulated
+log-factorials it steps the units of a batch (n - 1 move steps, then
+the pooled step on pick j) side by side as the rows of one narrow int
+array, unit 0 from the table the walk holds and unit j from pick j - 1,
+in groups of at most 2,048 units of 4-cell moves, and checks which
+pooled steps fired by exact keys of the end tables against D's.  Each
+unit after one that did not fire runs again in the scalar loop, on the
+same randomness, from the table the walk then holds, and takes its
+pooled step inline; without tabulated log-factorials every unit runs
+so.  Every lane step sums its log-weight terms in the scalar loop's
+order and decides acceptance with ``math.exp`` wherever ``np.exp``
+could differ, so the record equals the one-at-a-time walk's byte for
+byte.  The scalar loop takes only move steps and the independence steps
+of Alternating(1).
 """
 
 from __future__ import annotations
@@ -131,11 +131,9 @@ __all__ = [
 _CHUNK = 8192
 _POOL_CAP = 65_536  # distinct tables the pooled SAT step keeps in D
 # a lane group steps at most 8,192 support cells at once (2,048 units of
-# 4-cell moves) and holds at most 65,536 move steps; a group of fewer than
-# 128 units runs in the scalar loop, which is then as fast
+# 4-cell moves) and holds at most 65,536 move steps
 _LANE_CELLS = 8192
 _LANE_STEPS = 1 << 16
-_MIN_LANES = 128
 
 
 @dataclass(frozen=True)
@@ -318,63 +316,61 @@ def _batches(sampler: FiberSampler, encoding: CNFEncoding, sched_rng, chunk: int
 
 class _Pool:
     """D, the distinct tables of the latest sampler batches, oldest
-    first: ``index`` for membership (a dict with no values, half the
-    size of a set), their cells in order of arrival, their log-weights
-    in one float64 array and rho restricted to D.  Past ``_POOL_CAP``
-    tables the oldest leave D as new ones join.
+    first: their cells as the rows of one array, in order of arrival,
+    their log-weights in one float64 array and rho restricted to D.
+    Past ``_POOL_CAP`` tables the oldest leave D as new ones join.
 
-    Given a narrow int dtype, D also keeps its cells as the rows of one
-    array in that dtype, in order of arrival, for the lane kernel's
-    gathers, and the exact keys of those rows, sorted, for its
-    membership tests (``contains``)."""
+    D answers membership two ways: ``index``, a dict of cell tuples with
+    no values (half the size of a set), for one table at a time, and
+    ``keys``, the exact keys of the rows, sorted, for many at once
+    (``contains``).  The rows are in the narrowest int dtype that holds
+    every cell a move reaches, or Python ints past int64."""
 
-    __slots__ = ("index", "cells", "logw", "cdf", "rows", "powers", "keys")
+    __slots__ = ("index", "logw", "cdf", "rows", "powers", "keys")
 
-    def __init__(self, dtype=None, bound: int = 0, d: int = 0):
+    def __init__(self, dtype, bound: int, d: int):
         self.index: dict[tuple[int, ...], None] = {}
-        self.cells: list[tuple[int, ...]] = []
         self.logw = self.cdf = np.empty(0)
-        self.rows = None if dtype is None else np.empty((0, d), dtype)
-        # a key is the cells as the digits of one int64 in base bound + 1
-        # when every table's fits, the row's bytes otherwise
-        fits = (bound + 1) ** d < 1 << 63
-        self.powers = (bound + 1) ** np.arange(d, dtype=np.int64) if fits else None
-        self.keys = None if dtype is None else self._key(self.rows)
+        self.rows = np.empty((0, d), dtype)
+        # a key is the cells as the digits of one int in base bound + 1:
+        # an int64 when every table's fits, a Python int for Python-int
+        # rows, and the row's bytes otherwise
+        base = bound + 1
+        if base ** d < 1 << 63:
+            self.powers = base ** np.arange(d, dtype=np.int64)
+        elif dtype is object:
+            self.powers = np.array([base ** k for k in range(d)], dtype=object)
+        else:
+            self.powers = None
+        self.keys = self._key(self.rows)
 
-    def add(self, batch: list[Table], uniforms: np.ndarray) -> memoryview:
+    def add(self, batch: list[Table], uniforms: np.ndarray) -> np.ndarray:
         """Add the batch's tables that D lacks, drop the oldest past the
         cap, renormalize rho on D, and map the batch's first len(batch)
-        uniforms to its picks, one pool index per table, by the inverse
-        CDF of rho on the new D, as ``Generator.choice`` would map them;
-        the memoryview yields them as ints without a list of them."""
-        index, cells, new = self.index, self.cells, []
+        uniforms to its picks, one row of D per table, by the inverse
+        CDF of rho on the new D, as ``Generator.choice`` would map them."""
+        index, new = self.index, []
         for t in batch:
             c = t.cells
             if c not in index:
                 index[c] = None
-                cells.append(c)
                 new.append(c)
         if new:
-            new = np.array(new)
+            new = np.array(new, dtype=self.rows.dtype)
             self.logw = np.concatenate((self.logw, log_rho_rows(new)))
-            if self.rows is not None:
-                new = new.astype(self.rows.dtype)
-                self.rows = np.concatenate((self.rows, new))
-                new = np.sort(self._key(new))
-                self.keys = np.insert(self.keys, self.keys.searchsorted(new), new)
-            drop = len(cells) - _POOL_CAP
+            self.rows = np.concatenate((self.rows, new))
+            new = np.sort(self._key(new))
+            self.keys = np.insert(self.keys, self.keys.searchsorted(new), new)
+            drop = len(self.rows) - _POOL_CAP
             if drop > 0:
-                for c in cells[:drop]:
+                gone = self.rows[:drop]
+                for c in map(tuple, gone.tolist()):
                     del index[c]
-                del cells[:drop]
-                self.logw = self.logw[drop:]
-                if self.rows is not None:
-                    gone = self._key(self.rows[:drop])
-                    self.keys = np.delete(self.keys, self.keys.searchsorted(gone))
-                    self.rows = self.rows[drop:]
+                self.keys = np.delete(self.keys, self.keys.searchsorted(self._key(gone)))
+                self.rows, self.logw = self.rows[drop:], self.logw[drop:]
             self.cdf = normalized_exp(self.logw).cumsum()
             self.cdf /= self.cdf[-1]
-        return memoryview(self.cdf.searchsorted(uniforms[:len(batch)], side="right"))
+        return self.cdf.searchsorted(uniforms[:len(batch)], side="right")
 
     def _key(self, rows: np.ndarray) -> np.ndarray:
         if self.powers is not None:
@@ -480,123 +476,93 @@ class _Walk:
         self.draws = _MoveDraws(rng, signed)
         self.unif = _uniforms(rng)
 
-    def steps(self, count: int, rec: _Recorder, period: int = 0, draws: Sequence = (),
-              pool: _Pool | None = None, moves: Iterator[tuple] | None = None) -> None:
-        """Advance by ``count`` steps in one frame: move proposals, and
-        with a period, a SAT step at every period-th step on the next of
-        ``draws``.  With a pool, a draw is a pool index, moved to when
-        the current table is in D; without one, a sampler table accepted
-        with r(u, v), at period 1 only, so no move step comes between.
-        The move steps take their moves and uniforms from ``moves``, by
-        default the walk's own next ones."""
+    def steps(self, count: int, rec: _Recorder, moves: Iterator[tuple] | None = None) -> None:
+        """Take ``count`` move steps in one frame, on the moves and
+        uniforms of ``moves``, by default the walk's own next ones."""
         cur, cur_t, hit, lf = self.cur, self.cur_t, self.hit, self.lf
-        unif, exp = self.unif, math.exp
+        exp = math.exp
         if moves is None:
-            moves = self.draws.pairs(count - count // period if period else count)
+            moves = self.draws.pairs(count)
         p, flags, counts = rec.p, rec.flags, rec.counts
-        i, end = rec.i, rec.i + count
-        run = period - 1 if period else count  # move steps before each SAT step
-        draws = iter(draws)
-        if pool is not None:
-            index, tables = pool.index, pool.cells
-        elif period:
-            logw = -sum(map(lf.__getitem__, cur_t))  # log rho(u), up to the constant
-        while True:
-            stop = i + run
-            if stop > end:
-                stop = end
-            if run:
-                for i, (pairs, u) in zip(range(i, stop), moves):
-                    s = 0.0
-                    for j, dl in pairs:
-                        c = cur[j]
-                        nv = c + dl
-                        if nv < 0:
-                            break  # off the orthant: a self-loop
-                        s += lf[c] - lf[nv]
-                    else:
-                        # s >= 0 first: math.exp overflows above 709
-                        if s >= 0 or u < exp(s):
-                            for j, dl in pairs:
-                                cur[j] += dl
-                            cur_t = tuple(cur)
-                            hit = rec.hit(cur_t)
-                            flags[i] = True
-                    p[i] = hit
-                    if counts is not None:
-                        counts[cur_t] = counts.get(cur_t, 0) + 1
-            if stop == end:
-                break
-            # the SAT step at index stop
-            if pool is not None:
-                k = next(draws)
-                if cur_t in index:
-                    cur_t = tables[k]
-                    cur = list(cur_t)
-                    hit = rec.hit(cur_t)
-                    flags[stop] = True
+        for i, (pairs, u) in zip(range(rec.i, rec.i + count), moves):
+            s = 0.0
+            for j, dl in pairs:
+                c = cur[j]
+                nv = c + dl
+                if nv < 0:
+                    break  # off the orthant: a self-loop
+                s += lf[c] - lf[nv]
             else:
-                v = next(draws).cells
-                lw = -sum(map(lf.__getitem__, v))
-                s = lw - logw  # log rho(v) - log rho(u)
-                u = next(unif)
+                # s >= 0 first: math.exp overflows above 709
                 if s >= 0 or u < exp(s):
-                    cur_t, logw = v, lw
-                    cur = list(v)
-                    hit = rec.hit(v)
-                    flags[stop] = True
-            p[stop] = hit
+                    for j, dl in pairs:
+                        cur[j] += dl
+                    cur_t = tuple(cur)
+                    hit = rec.hit(cur_t)
+                    flags[i] = True
+            p[i] = hit
             if counts is not None:
                 counts[cur_t] = counts.get(cur_t, 0) + 1
-            i = stop + 1
-        rec.i = end
+        rec.i += count
         self.cur, self.cur_t, self.hit = cur, cur_t, hit
 
-    def pooled(self, rec: _Recorder, picks: memoryview, period: int, pool: _Pool,
-               lanes: _Lanes | None) -> None:
-        """The units of a pooled batch, period - 1 move steps then the
-        pooled step on pick j for unit j: groups of ``lanes.group`` units
-        side by side, and a group smaller than ``_MIN_LANES`` (or every
-        unit, without lanes) in the scalar loop."""
-        group = lanes.group if lanes is not None else len(picks)
-        for a in range(0, len(picks), group):
-            part = picks[a:a + group]
-            if lanes is not None and len(part) >= _MIN_LANES:
-                lanes.run(self, rec, np.asarray(part), period, pool)
-            else:
-                self.steps(len(part) * period, rec, period, part, pool)
+    def independence(self, draws: Sequence[Table], rec: _Recorder) -> None:
+        """An independence step on each sampler table of ``draws``,
+        accepted with r(u, v): Alternating(1), with no move step between."""
+        cur_t, hit, lf = self.cur_t, self.hit, self.lf
+        exp = math.exp
+        p, flags, counts = rec.p, rec.flags, rec.counts
+        logw = -sum(map(lf.__getitem__, cur_t))  # log rho(u), up to the constant
+        for i, v, u in zip(range(rec.i, rec.i + len(draws)), draws, self.unif):
+            v = v.cells
+            lw = -sum(map(lf.__getitem__, v))
+            s = lw - logw  # log rho(v) - log rho(u)
+            if s >= 0 or u < exp(s):
+                cur_t, logw = v, lw
+                hit = rec.hit(v)
+                flags[i] = True
+            p[i] = hit
+            if counts is not None:
+                counts[cur_t] = counts.get(cur_t, 0) + 1
+        rec.i += len(draws)
+        self.cur, self.cur_t, self.hit = list(cur_t), cur_t, hit
 
 
 class _Lanes:
-    """The move runs of a pooled batch stepped side by side.
+    """Every pooled step of a walk, and the move runs between them.
 
-    A pooled step that fires moves to a table drawn from rho on D
-    whatever the current table, so given their start tables the units of
-    a batch run independently.  ``run`` steps unit j as lane j of one
-    (units, d) array: unit 0 from the table the walk holds, unit j > 0
-    from pick j - 1, where the pooled step before it leaves the walk if
-    it fires.  It then checks which pooled steps fired (unit j's end is
-    in D) and runs again, in the scalar loop on the same randomness, each
-    unit after one that did not, from the table the walk then holds.
+    With tabulated log-factorials ``run`` steps unit j of a group as
+    lane j of one (units, d) array: unit 0 from the table the walk
+    holds, unit j > 0 from pick j - 1, where the pooled step before it
+    leaves the walk if it fires.  It then settles the units in order:
+    a lane that started where the walk stands is kept, and each unit
+    after a pooled step that did not fire runs again in the scalar loop,
+    on the same randomness, from the table the walk then holds, and
+    takes its pooled step inline.  Without them there are no lanes and
+    every unit is settled that way.
 
     A lane step gathers each lane's move support, padded to a zero
     column d with delta 0, so that the log-weight difference sums its
     terms in the scalar loop's order and has its bits.  Hits come from
-    ``stat.rows`` where the statistic has it, and from the hit cache
-    otherwise."""
+    ``stat.rows`` on lanes where the statistic has it, and from the hit
+    cache otherwise (an int64 cell past 2^53 may divide otherwise in
+    ``rows``)."""
 
     __slots__ = ("sup", "dl", "lf", "d", "dtype", "group", "stat_rows")
 
     def __init__(self, signed: list, lf: list, d: int, dtype, period: int, stat):
-        width = max(map(len, signed))
-        self.sup = np.full((width, len(signed)), d, dtype=np.intp)
-        self.dl = np.zeros((width, len(signed)), dtype=dtype)
-        for k, pairs in enumerate(signed):
-            self.sup[:len(pairs), k], self.dl[:len(pairs), k] = zip(*pairs)
-        self.lf = np.array(lf)
         self.d, self.dtype = d, dtype
-        self.group = max(1, min(_LANE_CELLS // width, _LANE_STEPS // (period - 1)))
-        self.stat_rows = getattr(stat, "rows", None)
+        self.lf = self.stat_rows = None
+        self.group = _CHUNK  # without lanes: the whole batch
+        if isinstance(lf, list):
+            width = max(map(len, signed))
+            self.sup = np.full((width, len(signed)), d, dtype=np.intp)
+            self.dl = np.zeros((width, len(signed)), dtype=dtype)
+            for k, pairs in enumerate(signed):
+                self.sup[:len(pairs), k], self.dl[:len(pairs), k] = zip(*pairs)
+            self.lf = np.array(lf)
+            self.group = max(1, min(_LANE_CELLS // width, _LANE_STEPS // (period - 1)))
+            self.stat_rows = getattr(stat, "rows", None)
 
     def hits(self, rec: _Recorder, rows: np.ndarray) -> np.ndarray:
         """The hit flag (0.0 or 1.0) of each row of a cell array."""
@@ -606,26 +572,77 @@ class _Lanes:
 
     def run(self, walk: _Walk, rec: _Recorder, picks: np.ndarray, period: int,
             pool: _Pool) -> None:
-        units, moves, d = len(picks), period - 1, self.d
-        idx, unif = walk.draws.take(units * moves)
-        idx, unif = idx.reshape(units, moves), unif.reshape(units, moves)
+        """Units j of a group of a pooled batch: period - 1 move steps,
+        then the pooled step on pick j."""
+        units, moves = len(picks), period - 1
         start_rows = pool.rows[picks]
         start_hits = self.hits(rec, start_rows)  # pick j's, which unit j + 1 starts from
+        base = rec.i
+        p = rec.p_seq[base:base + units * period].reshape(units, period)
+        acc = rec.acc[base:base + units * period].reshape(units, period)
+        lanes, seen = self.lf is not None, None
+        if lanes:
+            idx, unif, after, seen = self._side_by_side(walk, rec, pool, start_rows, start_hits,
+                                                        p, acc)
+            misses = np.flatnonzero(~acc[:, moves])
+        else:
+            pairs = walk.draws.pairs(units * moves)  # each unit takes its moves in turn
+        valid = np.zeros(units, dtype=np.bool_)  # the unit's lane was kept
+        j, lane = 0, lanes  # whether unit j's lane started where the walk stands
+        while j < units:
+            if lane:  # keep the lanes up to the first pooled step that did not fire
+                m = misses.searchsorted(j)
+                k = int(misses[m]) if m < len(misses) else units - 1
+                valid[j:k + 1] = True
+                walk.cur = after[k].tolist()
+                walk.cur_t, walk.hit = tuple(walk.cur), float(p[k, moves])
+                j, lane = k + 1, False
+                continue
+            rec.i = base + j * period
+            if lanes:
+                acc[j] = False
+                pairs = walk.draws.proposals(idx[j], unif[j])
+            walk.steps(moves, rec, pairs)
+            i = rec.i
+            fired = walk.cur_t in pool.index
+            if fired:
+                walk.cur = start_rows[j].tolist()
+                walk.cur_t, walk.hit = tuple(walk.cur), float(start_hits[j])
+                rec.flags[i] = True
+            rec.p[i] = walk.hit
+            if rec.counts is not None:
+                rec.counts[walk.cur_t] = rec.counts.get(walk.cur_t, 0) + 1
+            j, lane = j + 1, fired and lanes  # unit j + 1's lane started from pick j
+        rec.i = base + units * period
+        if seen is not None:
+            visits = np.concatenate((seen[valid].reshape(-1, self.d), after[valid]))
+            tables, times = np.unique(visits, axis=0, return_counts=True)
+            for c, n in zip(map(tuple, tables.tolist()), times.tolist()):
+                rec.counts[c] = rec.counts.get(c, 0) + n
+
+    def _side_by_side(self, walk: _Walk, rec: _Recorder, pool: _Pool, start_rows: np.ndarray,
+                      start_hits: np.ndarray, p: np.ndarray, acc: np.ndarray) -> tuple:
+        """Step every unit of the group as a lane and write each step's
+        hit and accepted flag.  Returns the units' move picks and
+        uniforms, (units, period - 1) each, their tables after their
+        pooled steps, and with state counts their tables after each move
+        step."""
+        (units, period), d = p.shape, self.d
+        moves = period - 1
+        idx, unif = walk.draws.take(units * moves)
+        idx, unif = idx.reshape(units, moves), unif.reshape(units, moves)
         x = np.zeros((units, d + 1), dtype=self.dtype)  # column d stays 0
         x[0, :d] = walk.cur
         x[1:, :d] = start_rows[:-1]
         hit = np.empty(units)
         hit[0] = walk.hit
         hit[1:] = start_hits[:-1]
-        base = rec.i
-        p = rec.p_seq[base:base + units * period].reshape(units, period)
-        acc = rec.acc[base:base + units * period].reshape(units, period)
         # by support column, move step and lane: the flat position in x of
         # each move step's support cell, and its delta
         where = self.sup[:, idx.T]
         where += np.arange(0, units * (d + 1), d + 1)
         deltas = self.dl[:, idx.T]
-        unif = unif.T.copy()
+        by_step = unif.T.copy()
         xf = x.reshape(-1)
         seen = None if rec.counts is None else np.empty((units, moves, d), self.dtype)
         for t in range(moves):
@@ -639,7 +656,7 @@ class _Lanes:
             for term in terms:
                 s += term
             moved = np.flatnonzero(new.min(axis=0) >= 0)
-            moved = moved[_accepts(s[moved], unif[t, moved])]
+            moved = moved[_accepts(s[moved], by_step[t, moved])]
             xf[cells[:, moved]] = new[:, moved]
             if len(moved):
                 hit[moved] = self.hits(rec, x[moved, :d])
@@ -651,38 +668,7 @@ class _Lanes:
         fired = pool.contains(ends)
         p[:, moves] = np.where(fired, start_hits, hit)
         acc[:, moves] = fired
-        # repair: each unit after a pooled step that did not fire runs
-        # again from the table the walk holds
-        misses = np.flatnonzero(~fired)
-        valid = np.ones(units, dtype=np.bool_)  # the unit's lane started where the walk was
-        j = 0
-        while True:
-            m = misses.searchsorted(j)
-            if m == len(misses):  # every pooled step from unit j on fired
-                walk.cur_t = pool.cells[picks[-1]]
-                walk.cur, walk.hit = list(walk.cur_t), float(start_hits[-1])
-                break
-            k = misses[m]
-            walk.cur = ends[k].tolist()
-            walk.cur_t, walk.hit = tuple(walk.cur), float(hit[k])
-            for j in range(k + 1, units):
-                valid[j] = False
-                acc[j] = False
-                rec.i = base + j * period
-                walk.steps(period, rec, period, picks[j:j + 1].tolist(), pool,
-                           walk.draws.proposals(idx[j], unif[:, j]))
-                if acc[j, moves]:  # fired: unit j + 1's lane started from pick j
-                    j += 1
-                    break
-            else:
-                break
-        rec.i = base + units * period
-        if seen is not None:
-            visits = np.concatenate((seen[valid].reshape(-1, d),
-                                     np.where(fired[:, None], start_rows, ends)[valid]))
-            tables, times = np.unique(visits, axis=0, return_counts=True)
-            for c, n in zip(map(tuple, tables.tolist()), times.tolist()):
-                rec.counts[c] = rec.counts.get(c, 0) + n
+        return idx, unif, np.where(fired[:, None], start_rows, ends), seen
 
 
 def _signed_moves(moves: MoveSet, spec: FiberSpec) -> list:
@@ -761,13 +747,11 @@ def run_walk(
 
         walk = _Walk(u_obs, make_rng(seed, 1), signed, lf, rec)
         pool = lanes = None
-        if period > 1 and isinstance(lf, list):  # tabulated, so the cells fit int64
-            dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                         if top <= np.iinfo(t).max)
+        if period > 1:
+            dtype = next((t for t in (np.int8, np.int16, np.int32, np.int64)
+                          if top <= np.iinfo(t).max), object)
             pool = _Pool(dtype, bound, spec.d)
             lanes = _Lanes(signed, lf, spec.d, dtype, period, stat)
-        elif period > 1:
-            pool = _Pool()
         reason = None
         try:
             left = N // period if period else 0
@@ -777,19 +761,19 @@ def run_walk(
                 except SamplerError:
                     walk.steps(period - 1, rec)  # the moves before the SAT step that failed
                     raise
-                if pool is not None:
-                    draws = pool.add(draws, uniforms)
-                draws = draws[:left]
-                if pool is not None:
-                    walk.pooled(rec, draws, period, pool, lanes)
-                else:  # Alternating(1): independence steps alone
-                    walk.steps(len(draws), rec, 1, draws)
+                if pool is None:  # Alternating(1): independence steps alone
+                    draws = draws[:left]
+                    walk.independence(draws, rec)
+                else:
+                    draws = pool.add(draws, uniforms)[:left]
+                    for a in range(0, len(draws), lanes.group):
+                        lanes.run(walk, rec, draws[a:a + lanes.group], period, pool)
                 left -= len(draws)
             walk.steps(N % period if period else N, rec)
         except SamplerError as exc:
             reason = str(exc)
         return _finish(rec, spec, u_obs, [walk.cur_t], period, 0, reason,
-                       len(pool.cells) if pool else 0)
+                       len(pool.rows) if pool else 0)
     finally:
         if batches is not None:
             batches.close()  # kills the sampler calls still in flight

@@ -31,7 +31,7 @@ from fiberwalk.bench import (
 from fiberwalk.cli import build_parser
 from fiberwalk.models import Independence, NoThreeWay, Table, fiber_spec_from_observation
 from fiberwalk.sampling import InternalBiasedSampler, SamplerConfig
-from fiberwalk.walk import Alternating, ParallelStarts
+from fiberwalk.walk import Alternating, ParallelStarts, make_schedule
 
 
 # -- rounding
@@ -101,6 +101,16 @@ def test_generate_n3f_sums_to_n():
     assert u.n == 16
 
 
+@pytest.mark.parametrize("kind", ["internal-uniform", "internal-biased"])
+def test_an_n3f_bench_run_searches_its_fiber_once(block_searches, kind):
+    """The initial n3f table is drawn from the fiber it is then tested
+    on; one block search serves the draw, the exact p and the walk."""
+    config = ExperimentConfig(model="n3f", shape=(2, 2, 2), n=16, runs=2, steps=60,
+                              schedule=Alternating(3), sampler=SamplerConfig(kind=kind), seed=4)
+    assert all(run.ok for run in run_evaluation(config))
+    assert len(block_searches) == len(set(block_searches)) == 2
+
+
 # -- the convergence metric
 
 
@@ -168,6 +178,18 @@ def test_a_walk_without_move_steps_builds_no_moves():
     test = conditional_test(spec, u, Alternating(1), "cycle", None, SamplerConfig(), 50, 0,
                             EXACT_CAP)
     assert (test.rec.steps, test.rec.sat_steps, test.rec.move_steps) == (50, 50, 0)
+
+
+@pytest.mark.parametrize("kind", ["moves-only", "sat-only", "alternating", "parallel-starts"])
+def test_a_table_past_int64_tests_to_its_exact_p(kind):
+    """A cell of 2^64 gives margins past int64; the fiber's two tables
+    still enumerate to an exact p of 0.5 and every schedule walks it."""
+    u = Table((2**64, 0, 0, 1), (2, 2))
+    spec = fiber_spec_from_observation(Independence((2, 2)), u)
+    test = conditional_test(spec, u, make_schedule(kind, 2, 2), "basic", None, SamplerConfig(),
+                            200, 1, EXACT_CAP)
+    assert test.exact_p == 0.5
+    assert test.rec.steps == 200 and not test.rec.aborted
 
 
 def test_config_refuses_a_negative_exact_cap():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fiberwalk.enumeration import enumerate_fiber
 from fiberwalk.models import (
     ConstraintMatrix,
     FiberSpec,
@@ -183,6 +184,28 @@ def test_margins_match_numpy(i, j):
     got = margins(A, u)
     assert got[i] == arr[i].sum()
     assert got[4 + j] == arr[:, j].sum()
+
+
+def test_margins_are_exact_past_int64():
+    """A u is summed on Python ints: a margin past int64 neither wraps
+    (2^62 + 2^62 is not negative) nor overflows (a cell of 2^64)."""
+    A = Independence((2, 2)).matrix
+    assert margins(A, Table((2**62, 2**62, 0, 1), (2, 2))) == (2**63, 1, 2**62, 2**62 + 1)
+    assert margins(A, Table((2**64, 0, 0, 1), (2, 2))) == (2**64, 1, 2**64, 1)
+    spec = fiber_spec_from_observation(Independence((2, 2)), Table((2**62, 2**62, 0, 1), (2, 2)))
+    assert spec.margins == (2**63, 1, 2**62, 2**62 + 1)
+
+
+@pytest.mark.parametrize("cells, shape", [((2**64, 0, 0, 1), (2, 2)),
+                                          ((2**64, 1, 2, 0, 1, 1), (2, 3))])
+def test_a_fiber_past_int64_contains_its_enumerated_elements(cells, shape):
+    """``contains`` agrees with the enumeration on Python ints: every
+    element it lists has the fiber's margins."""
+    u = Table(cells, shape)
+    spec = fiber_spec_from_observation(Independence(shape), u)
+    elements = enumerate_fiber(spec).require_complete().elements
+    assert len(elements) > 1 and u in elements
+    assert all(spec.contains(t) for t in elements)
 
 
 # sha256 of the entries (int64, row-major) of each face-margin matrix

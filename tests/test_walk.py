@@ -659,15 +659,27 @@ def test_short_walk_on_a_large_table_costs_what_its_steps_cost():
 @pytest.mark.parametrize("period, N", [(2, 3000), (5, 4000)])
 def test_pooled_walk_past_the_tabulated_cell_bound(period, N):
     """With the cell bound (10^5) past max(N, 65,536) the walk takes
-    math.lgamma per cell, so the pooled step runs without lanes and
-    without a typed pool; its record and state counts still equal the
-    per-step walker's."""
+    math.lgamma per cell, so every unit of a pooled batch runs in the
+    scalar loop, without lanes; its record and state counts still equal
+    the per-step walker's."""
     u = Table((100_000, 0, 0, 100_000), (2, 2))
     spec = fiber_spec_from_observation(Independence((2, 2)), u)
     assert cell_value_bound(spec) > max(N, 1 << 16)
     run = (spec, u, Alternating(period), MOVES, InternalUniformSampler(), N, count_stat)
     assert_same_record(run_walk(*run, seed=5, count_states=True),
                        reference_walk(*run, seed=5, count_states=True))
+
+
+def test_pooled_walk_past_int64():
+    """A cell of 2^64 puts D's rows in Python ints, keyed exactly by
+    powers of bound + 1; the record and state counts still equal the
+    per-step walker's."""
+    u = Table((2**64, 0, 0, 1), (2, 2))
+    spec = fiber_spec_from_observation(Independence((2, 2)), u)
+    run = (spec, u, Alternating(3), MOVES, InternalUniformSampler(), 3000, count_stat)
+    got = run_walk(*run, seed=5, count_states=True)
+    assert got.pool_size == 2 and got.accepted[2::3].any()
+    assert_same_record(got, reference_walk(*run, seed=5, count_states=True))
 
 
 # -- the lane kernel: pooled batches stepped side by side, byte for byte
@@ -684,9 +696,21 @@ class OneTableSampler:
         return [self.table] * count
 
 
-@settings(max_examples=80, deadline=None)
+@st.composite
+def untabulated_fibers(draw):
+    """A 2 x 2 or 2 x 3 observation with one cell near 10^5 and the
+    others under 5: the cell bound passes max(N, 65,536), so the walk
+    does not tabulate log-factorials, while the fiber stays small."""
+    shape = (2, draw(st.integers(2, 3)))
+    cells = [draw(st.integers(0, 4)) for _ in range(2 * shape[1])]
+    cells[draw(st.integers(0, len(cells) - 1))] = draw(st.integers(90_000, 110_000))
+    u = Table(tuple(cells), shape)
+    return fiber_spec_from_observation(Independence(shape), u), u, basic_moves_two_way(shape)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    two_way_fibers(),
+    st.one_of(two_way_fibers(), untabulated_fibers()),
     st.integers(2, 6),
     st.integers(1, 300),
     st.booleans(),
@@ -703,7 +727,8 @@ def test_lanes_match_the_reference_walker(fiber, period, N, count_states, source
     equals the per-step walker's: when most pooled steps do not fire (D
     of 1 or 3 tables, or a sampler of one table), on short batches and
     on aborts, with state counts, and with hits from the hit cache or
-    from ``ChiSquare.rows``."""
+    from ``ChiSquare.rows``.  On a fiber with a cell past max(N, 65,536)
+    there are no lanes, and every unit runs in the scalar loop."""
     spec, u, moves = fiber
     if stat == "chi-square":  # on fixed positive probabilities: small tables may have no MLE
         w = np.array([0.0 if j in spec.zero_set() else 1.0 + 0.35 * j for j in range(spec.d)])
@@ -716,7 +741,6 @@ def test_lanes_match_the_reference_walker(fiber, period, N, count_states, source
 
     run = (spec, u, Alternating(period), moves)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walk_module, "_MIN_LANES", 1)
         mp.setattr(walk_module, "_LANE_CELLS", cells)
         mp.setattr(walk_module, "_POOL_CAP", cap)
         got = run_walk(*run, sampler(), N, stat, seed, count_states=count_states)
@@ -737,16 +761,14 @@ def test_lanes_on_n3f_supports_of_8_and_12_cells(basis, period):
     assert {len(mv.support) for mv in moves} == ({8} if basis == "basic" else {8, 12})
     stat = ChiSquare(fit_loglinear(spec.matrix, u).pi, u.n)
     run = (spec, u, Alternating(period), moves, InternalUniformSampler(), 4000, stat)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walk_module, "_MIN_LANES", 1)
-        got = run_walk(*run, seed=8, count_states=True)
-        want = reference_walk(*run, seed=8, count_states=True)
-    assert_same_record(got, want)
+    assert_same_record(run_walk(*run, seed=8, count_states=True),
+                       reference_walk(*run, seed=8, count_states=True))
 
 
-def test_long_pooled_runs_take_the_lanes_and_keep_the_scalar_record(monkeypatch):
+def test_long_pooled_runs_take_the_lanes_and_keep_the_reference_record(monkeypatch):
     """At the default sizes a 20,000-step Alternating(10) run steps its
-    batches on lanes, and its record equals the scalar loop's."""
+    one batch on lanes, as one group, and its record equals the
+    per-step walker's."""
     u = Table((8, 1, 0, 0, 0, 4, 1, 0, 0, 0, 3, 1, 0, 0, 0, 2), (4, 4))
     spec = fiber_spec_from_observation(Independence((4, 4)), u)
     stat = ChiSquare(fit_loglinear(spec.matrix, u).pi, u.n)
@@ -757,9 +779,8 @@ def test_long_pooled_runs_take_the_lanes_and_keep_the_scalar_record(monkeypatch)
     monkeypatch.setattr(walk_module._Lanes, "run",
                         lambda self, *a: groups.append(len(a[2])) or lane_run(self, *a))
     got = run_walk(*run, count_states=True)
-    assert sum(groups) == 2000 and min(groups) >= walk_module._MIN_LANES
-    monkeypatch.setattr(walk_module, "_MIN_LANES", 10**9)
-    assert_same_record(got, run_walk(*run, count_states=True))
+    assert groups == [2000]  # one batch of 2,000 units, within one group of 2,048
+    assert_same_record(got, reference_walk(*run, count_states=True))
 
 
 def _exp_neighbours(s):
